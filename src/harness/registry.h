@@ -21,6 +21,8 @@ struct AlgorithmInfo {
   sim::ProtocolFactory (*make)() = nullptr;
   // Columnar twin for the BatchEngine fast path; null when the algorithm
   // has no step program (it then always runs on the coroutine engine).
+  // Step programs are anonymous, so a protocol that reads
+  // NodeContext::unique_id() must leave this null.
   sim::StepProgramFactory (*make_step)() = nullptr;
 };
 

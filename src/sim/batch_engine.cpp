@@ -12,15 +12,6 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
 
   const auto n = static_cast<std::size_t>(config.num_active);
 
-  // Same ID and per-node stream derivation as Engine::Run, so a program
-  // that consumes ctx.rng[s] sees the bit stream node s's coroutine would.
-  // Same ID derivation as Engine::Run. Sampled once from the original
-  // seed: a node keeps its identity across robust epoch restarts.
-  support::RandomSource id_rng =
-      support::RandomSource::ForStream(config.seed, 0x1d5eed, config.rng);
-  support::SampleWithoutReplacement(population, config.num_active, id_rng,
-                                    sample_scratch_, unique_ids_);
-
   robust::EpochDriver epochs(config.robust, population, config.channels,
                              config.seed);
 
@@ -28,7 +19,6 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   ctx.population = population;
   ctx.num_active = config.num_active;
   ctx.channels = config.channels;
-  ctx.unique_ids = unique_ids_;
 
   node_tx_.assign(n, 0);
   crashed_.assign(n, 0);
@@ -106,30 +96,12 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     ++round;
   };
 
-  // One engine-fabricated round, bit-exact with Engine::Run's: the dense
-  // alive-ordered action array carries the same non-idle actions in the
-  // same ascending-node order as the coroutine engine's full array, so the
-  // resolver touches channels — and draws faults — identically. Crash
-  // draws are skipped and the program does not advance. `winner_slot`
-  // >= 0 indexes alive_ and fabricates a confirmation echo; -1 fabricates
-  // an all-idle backoff round. Returns the round summary so the call sites
-  // can feed the adaptive policy and the echo/backoff spend breakdown.
-  const auto fabricated_round =
-      [&](std::int32_t winner_slot) -> mac::RoundSummary {
-    const std::size_t m = alive_.size();
+  // Resolves and accounts the engine-fabricated round staged in
+  // fab_actions_; the shared tail of the two fabricators below.
+  const auto resolve_fabricated = [&]() -> mac::RoundSummary {
     if (config.record_active_counts) {
-      result.active_counts.push_back(static_cast<std::int64_t>(m));
-    }
-    fab_actions_.assign(m, mac::Action::Listen(mac::kPrimaryChannel));
-    if (winner_slot >= 0) {
-      fab_actions_[static_cast<std::size_t>(winner_slot)] =
-          mac::Action::Transmit(
-              mac::kPrimaryChannel,
-              actions_[static_cast<std::size_t>(winner_slot)].message);
-      ++node_tx_[static_cast<std::size_t>(
-          alive_[static_cast<std::size_t>(winner_slot)])];
-    } else {
-      fab_actions_.clear();  // backoff: nobody participates
+      result.active_counts.push_back(
+          static_cast<std::int64_t>(alive_.size()));
     }
     const std::span<const mac::ChannelId> adv_jams =
         adversary.PlanRound(round, config.channels);
@@ -141,6 +113,31 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     return summary;
   };
 
+  // One engine-fabricated round, bit-exact with Engine::Run's: the dense
+  // alive-ordered action array carries the same non-idle actions in the
+  // same ascending-node order as the coroutine engine's full array, so the
+  // resolver touches channels — and draws faults — identically. Crash
+  // draws are skipped and the program does not advance. `winner_slot`
+  // >= 0 indexes alive_ and fabricates a confirmation echo; -1 fabricates
+  // an all-idle backoff round. Returns the round summary so the call sites
+  // can feed the adaptive policy and the echo/backoff spend breakdown.
+  const auto fabricated_round =
+      [&](std::int32_t winner_slot) -> mac::RoundSummary {
+    fab_actions_.assign(alive_.size(),
+                        mac::Action::Listen(mac::kPrimaryChannel));
+    if (winner_slot >= 0) {
+      fab_actions_[static_cast<std::size_t>(winner_slot)] =
+          mac::Action::Transmit(
+              mac::kPrimaryChannel,
+              actions_[static_cast<std::size_t>(winner_slot)].message);
+      ++node_tx_[static_cast<std::size_t>(
+          alive_[static_cast<std::size_t>(winner_slot)])];
+    } else {
+      fab_actions_.clear();  // backoff: nobody participates
+    }
+    return resolve_fabricated();
+  };
+
   // Quorum-obfuscating dummy confirm round, bit-exact with Engine::Run's:
   // the two lowest-index alive nodes (alive_ is ascending, so slots 0 and 1)
   // transmit together on the primary channel — a guaranteed collision —
@@ -148,23 +145,13 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
   // erasure thinning the pair to a lone transmission genuinely solves the
   // run. Requires alive_.size() >= 2 (call sites gate).
   const auto fabricated_dummy_round = [&]() -> mac::RoundSummary {
-    const std::size_t m = alive_.size();
-    if (config.record_active_counts) {
-      result.active_counts.push_back(static_cast<std::int64_t>(m));
-    }
-    fab_actions_.assign(m, mac::Action::Listen(mac::kPrimaryChannel));
+    fab_actions_.assign(alive_.size(),
+                        mac::Action::Listen(mac::kPrimaryChannel));
     for (std::size_t k = 0; k < 2; ++k) {
       fab_actions_[k] = mac::Action::Transmit(mac::kPrimaryChannel);
       ++node_tx_[static_cast<std::size_t>(alive_[k])];
     }
-    const std::span<const mac::ChannelId> adv_jams =
-        adversary.PlanRound(round, config.channels);
-    adv_perturbed = adv_perturbed || !adv_jams.empty();
-    const mac::RoundSummary summary =
-        resolver_->Resolve(fab_actions_, fab_feedback_, fault_ptr, adv_jams);
-    adversary.ObserveRound(*resolver_, round);
-    account_round(summary);
-    return summary;
+    return resolve_fabricated();
   };
 
   while (true) {  // one iteration per robust epoch (single pass when off)
@@ -184,8 +171,10 @@ RunResult BatchEngine::Run(const EngineConfig& config, StepProgram& program) {
     }
 
     // (Re)seed per-node streams and reset program state for this epoch.
-    // Epoch 0 uses the unsalted seed — the historical construction — and
-    // crashed nodes are excluded from the rebuilt alive set for good.
+    // The derivation is Engine::Run's, so ctx.rng[s] is the stream node s's
+    // coroutine draws from. Epoch 0 uses the unsalted seed — the historical
+    // construction — and crashed nodes are excluded from the rebuilt alive
+    // set for good.
     rng_.resize(n);
     simd::SeedStreams(epochs.SeedFor(config.seed), 1, config.rng, rng_);
     ctx.rng = rng_;

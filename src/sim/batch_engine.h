@@ -19,6 +19,9 @@
 // active_counts and trace all match. node_reports stays empty — step
 // programs carry no per-node instrumentation — and the coroutine engine's
 // auto-beacon (wakeup transform) mode has no step-program counterpart.
+// Step programs are anonymous: Run samples no unique IDs (no result field
+// depends on Engine::Run's ID stream), so a protocol that reads
+// NodeContext::unique_id() must stay coroutine-only.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +58,6 @@ class BatchEngine {
  private:
   std::optional<mac::Resolver> resolver_;
   std::vector<support::RandomSource> rng_;
-  std::vector<std::int64_t> unique_ids_;
   std::vector<NodeId> alive_;
   std::vector<mac::Action> actions_;
   std::vector<mac::Feedback> feedback_;
@@ -69,7 +71,6 @@ class BatchEngine {
   // re-included in the alive set on epoch restart.
   std::vector<std::uint8_t> crashed_;
   std::vector<std::int64_t> node_tx_;
-  support::SampleScratch sample_scratch_;
   bool fused_rounds_enabled_ = true;
 };
 

@@ -601,35 +601,47 @@ std::unique_ptr<TrialProgram> TwoActiveProgram::MakeTrialProgram() const {
 // probability 1/n_hat, n_hat square-rooted between iterations. Shared by
 // the standalone Reduce program and the composed general program; the
 // prepared Bernoullis amortize the threshold computation across all nodes
-// of a round.
+// of a round. Prepare rebuilds it in place only when the population
+// changes (params are fixed), so same-shape trials build it once.
 
-std::vector<BatchBernoulli> BuildReduceSchedule(std::int64_t population,
-                                                core::ReduceParams params) {
-  const std::int32_t iterations =
-      support::CeilLgLg(
-          static_cast<std::uint64_t>(population < 2 ? 2 : population)) +
-      params.extra_iterations;
-  std::vector<BatchBernoulli> sched;
-  sched.reserve(static_cast<std::size_t>(iterations) * 2);
-  double n_hat = static_cast<double>(population);
-  for (std::int32_t iter = 0; iter < iterations; ++iter) {
-    const BatchBernoulli b(1.0 / n_hat);
-    sched.push_back(b);
-    sched.push_back(b);
-    n_hat = std::sqrt(n_hat);
-    if (n_hat < 2.0) n_hat = 2.0;
+class ReduceSchedule {
+ public:
+  explicit ReduceSchedule(core::ReduceParams params) : params_(params) {}
+  void Prepare(std::int64_t population) {
+    if (population == population_) return;
+    population_ = population;
+    steps_.clear();
+    const std::int32_t iterations =
+        support::CeilLgLg(
+            static_cast<std::uint64_t>(population < 2 ? 2 : population)) +
+        params_.extra_iterations;
+    double n_hat = static_cast<double>(population);
+    for (std::int32_t iter = 0; iter < iterations; ++iter) {
+      const BatchBernoulli b(1.0 / n_hat);
+      steps_.push_back(b);
+      steps_.push_back(b);
+      n_hat = std::sqrt(n_hat);
+      if (n_hat < 2.0) n_hat = 2.0;
+    }
   }
-  return sched;
-}
+  const BatchBernoulli& operator[](std::size_t i) const { return steps_[i]; }
+  std::size_t size() const { return steps_.size(); }
+
+ private:
+  core::ReduceParams params_;
+  std::int64_t population_ = 0;  // 0: not built yet (populations are >= 1)
+  std::vector<BatchBernoulli> steps_;
+};
 
 class ReduceProgram final : public StepProgram {
  public:
-  explicit ReduceProgram(core::ReduceParams params) : params_(params) {}
+  explicit ReduceProgram(core::ReduceParams params)
+      : params_(params), sched_(params) {}
 
   std::string_view name() const override { return "reduce"; }
 
   void Reset(const BatchContext& ctx) override {
-    sched_ = BuildReduceSchedule(ctx.population, params_);
+    sched_.Prepare(ctx.population);
     step_.assign(static_cast<std::size_t>(ctx.num_active), 0);
   }
 
@@ -704,7 +716,7 @@ class ReduceProgram final : public StepProgram {
 
  private:
   core::ReduceParams params_;
-  std::vector<BatchBernoulli> sched_;
+  ReduceSchedule sched_;
   std::vector<std::int32_t> step_;  // index into sched_
   std::vector<std::uint8_t> mask_;  // FastRound coin-mask scratch
 };
@@ -716,12 +728,12 @@ class ReduceProgram final : public StepProgram {
 // lane's alive slots in a single CoinMask call.
 class ReduceTrialProgram final : public TrialProgram {
  public:
-  explicit ReduceTrialProgram(core::ReduceParams params) : params_(params) {}
+  explicit ReduceTrialProgram(core::ReduceParams params) : sched_(params) {}
 
   std::string_view name() const override { return "reduce"; }
 
   bool Reset(const TrialContext& ctx, std::int32_t lanes) override {
-    sched_ = BuildReduceSchedule(ctx.population, params_);
+    sched_.Prepare(ctx.population);
     set_.Reset(lanes, ctx.num_active);
     return true;
   }
@@ -760,8 +772,7 @@ class ReduceTrialProgram final : public TrialProgram {
   }
 
  private:
-  core::ReduceParams params_;
-  std::vector<BatchBernoulli> sched_;
+  ReduceSchedule sched_;
   LaneAliveSet set_;
   std::vector<std::int32_t> slots_, seg_;
   std::vector<std::uint8_t> mask_;
@@ -774,6 +785,14 @@ std::unique_ptr<TrialProgram> ReduceProgram::MakeTrialProgram() const {
 // ---------------------------------------------------------------------------
 // IDReduction (core/id_reduction.cpp flattened): a three-round cycle of
 // spread / confirm / knockout until renaming succeeds.
+
+// The knockout round's coin: probability 1/k, k = max(2, sqrt(C')/divisor),
+// computed exactly as RunIdReduction does. Shared with the general program.
+BatchBernoulli KnockCoin(std::int32_t eff, core::IdReductionParams params) {
+  const double k = std::max(2.0, std::sqrt(static_cast<double>(eff)) /
+                                     params.knock_divisor);
+  return BatchBernoulli(1.0 / k);
+}
 
 class IdReductionProgram final : public StepProgram {
  public:
@@ -789,10 +808,7 @@ class IdReductionProgram final : public StepProgram {
                      "IDReduction needs at least 4 effective channels, got "
                          << eff);
     spread_.emplace(1, eff / 2);
-    const double knock_k =
-        std::max(2.0, std::sqrt(static_cast<double>(eff)) /
-                          params_.knock_divisor);
-    knock_.emplace(1.0 / knock_k);
+    knock_.emplace(KnockCoin(eff, params_));
     const auto n = static_cast<std::size_t>(ctx.num_active);
     cycle_.assign(n, 0);
     chan_.assign(n, 0);
@@ -973,10 +989,7 @@ class IdReductionTrialProgram final : public TrialProgram {
         core::EffectiveChannels(ctx.channels, ctx.population);
     if (eff < 4) return false;  // per-trial path throws; fall back wholesale
     spread_.emplace(1, eff / 2);
-    const double knock_k =
-        std::max(2.0, std::sqrt(static_cast<double>(eff)) /
-                          params_.knock_divisor);
-    knock_.emplace(1.0 / knock_k);
+    knock_.emplace(KnockCoin(eff, params_));
     counts_.assign(static_cast<std::size_t>(eff / 2) + 3, 0);
     set_.Reset(lanes, ctx.num_active);
     renamed_.assign(set_.alive.size(), 0);
@@ -1577,7 +1590,8 @@ std::unique_ptr<TrialProgram> KnockoutCdProgram::MakeTrialProgram() const {
 
 class GeneralProgram final : public StepProgram {
  public:
-  explicit GeneralProgram(core::GeneralParams params) : params_(params) {}
+  explicit GeneralProgram(core::GeneralParams params)
+      : params_(params), reduce_sched_(params.reduce) {}
 
   std::string_view name() const override { return "general"; }
 
@@ -1594,12 +1608,9 @@ class GeneralProgram final : public StepProgram {
     CRMC_REQUIRE_MSG(eff_ >= 4,
                      "IDReduction needs at least 4 effective channels, got "
                          << eff_);
-    reduce_sched_ = BuildReduceSchedule(ctx.population, params_.reduce);
+    reduce_sched_.Prepare(ctx.population);
     spread_.emplace(1, eff_ / 2);
-    const double knock_k =
-        std::max(2.0, std::sqrt(static_cast<double>(eff_)) /
-                          params_.id_reduction.knock_divisor);
-    knock_.emplace(1.0 / knock_k);
+    knock_.emplace(KnockCoin(eff_, params_.id_reduction));
     leaf_.Init(eff_ / 2, params_.leaf_election.force_binary_search, n);
     // ClassifyChannels scratch: spread channels lie in [1, eff/2], the +3
     // covers the gather padding; must start (and is kept) all-zero.
@@ -1843,7 +1854,7 @@ class GeneralProgram final : public StepProgram {
   core::GeneralParams params_;
   std::int32_t eff_ = 0;
   bool fallback_ = false;
-  std::vector<BatchBernoulli> reduce_sched_;
+  ReduceSchedule reduce_sched_;
   std::optional<BatchUniformInt> spread_;
   std::optional<BatchBernoulli> knock_;
   BatchBernoulli coin_{0.5};
@@ -1874,7 +1885,8 @@ class GeneralProgram final : public StepProgram {
 // twin keeps every lane fused end to end.
 class GeneralTrialProgram final : public TrialProgram {
  public:
-  explicit GeneralTrialProgram(core::GeneralParams params) : params_(params) {}
+  explicit GeneralTrialProgram(core::GeneralParams params)
+      : params_(params), reduce_sched_(params.reduce) {}
 
   std::string_view name() const override { return "general"; }
 
@@ -1885,12 +1897,9 @@ class GeneralTrialProgram final : public TrialProgram {
     in_leaf_.assign(static_cast<std::size_t>(lanes), 0);
     if (fallback_) return true;
     if (eff_ < 4) return false;  // per-trial Reset throws; fall back
-    reduce_sched_ = BuildReduceSchedule(ctx.population, params_.reduce);
+    reduce_sched_.Prepare(ctx.population);
     spread_.emplace(1, eff_ / 2);
-    const double knock_k =
-        std::max(2.0, std::sqrt(static_cast<double>(eff_)) /
-                          params_.id_reduction.knock_divisor);
-    knock_.emplace(1.0 / knock_k);
+    knock_.emplace(KnockCoin(eff_, params_.id_reduction));
     leaf_.Init(eff_ / 2, params_.leaf_election.force_binary_search,
                set_.alive.size());
     chan_.assign(set_.alive.size(), 0);
@@ -2056,7 +2065,7 @@ class GeneralTrialProgram final : public TrialProgram {
   core::GeneralParams params_;
   std::int32_t eff_ = 0;
   bool fallback_ = false;
-  std::vector<BatchBernoulli> reduce_sched_;
+  ReduceSchedule reduce_sched_;
   std::optional<BatchUniformInt> spread_;
   std::optional<BatchBernoulli> knock_;
   BatchBernoulli coin_{0.5};

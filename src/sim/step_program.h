@@ -38,14 +38,15 @@ using NodeId = std::int32_t;
 // Read-only model parameters plus the engine-owned per-node columns a
 // program may use. Spans stay valid for the duration of one BatchEngine
 // run; `rng[slot]` is the same stream the coroutine engine hands node
-// `slot` (ForStream(seed, slot + 1)).
+// `slot` (ForStream(seed, slot + 1)). Step programs and lane twins are
+// anonymous: there is no ID column, and a protocol that reads
+// NodeContext::unique_id() must stay coroutine-only.
 struct BatchContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;
   std::int32_t channels = 1;
   std::int64_t round = 0;  // 0-based index of the round being executed
   std::span<support::RandomSource> rng;
-  std::span<const std::int64_t> unique_ids;  // distinct IDs from [1, n]
 };
 
 // What one fused fast round did to the world — the slice of
@@ -74,9 +75,8 @@ struct FastRoundEffects {
 // trial-parallel run. `rng[lane * num_active + node]` is the stream the
 // coroutine engine hands node `node` of the trial seeded seeds[lane]
 // (ForStream(seed, node + 1)). Spans stay valid for one TrialBatchEngine
-// chunk. There is no unique_ids plane: no shipped lane program consumes
-// sampled IDs (two_active's draws live on per-node streams), and the
-// engine's results do not depend on the separate ID stream.
+// chunk. Lane twins are anonymous like step programs (see BatchContext):
+// there is no ID plane.
 struct TrialContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;

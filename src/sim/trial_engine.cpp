@@ -100,9 +100,7 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
 
   // One philox stream per (lane, node) plane slot; node `node` of lane
   // `lane` gets exactly the stream the coroutine engine would hand it for
-  // seed seeds[lane] (ForStream(seed, node + 1)). The separate ID-sampling
-  // stream (0x1d5eed) is not materialized: no trial program consumes
-  // sampled IDs and no result field depends on that stream.
+  // seed seeds[lane] (ForStream(seed, node + 1)).
   rng_.resize(w * n);
   for (std::size_t lane = 0; lane < w; ++lane) {
     simd::SeedStreams(seeds[lane], 1, config.rng,

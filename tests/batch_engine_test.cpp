@@ -127,6 +127,49 @@ TEST(BatchEngineParity, GeneralLargePopulation) {
   CheckParity(config, core::MakeGeneral(), *program, 200);
 }
 
+// The shape the repository benchmark's general_large workload runs: a
+// 4096-node active set in a 2^20 population, where the per-node columns
+// dominate each trial. One program instance serves both channel counts.
+TEST(BatchEngineParity, GeneralBenchShape) {
+  auto program = MakeGeneralProgram();
+  for (const support::RngKind kind :
+       {support::RngKind::kXoshiro, support::RngKind::kPhilox}) {
+    for (const std::int32_t channels : {32, 256}) {
+      SCOPED_TRACE(::testing::Message() << "rng=" << support::ToString(kind)
+                                        << " channels=" << channels);
+      EngineConfig config;
+      config.population = 1 << 20;
+      config.num_active = 4096;
+      config.channels = channels;
+      config.rng = kind;
+      config.record_active_counts = true;
+      CheckParity(config, core::MakeGeneral(), *program, 4);
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+// Reduce programs keep their knockout schedule across Resets and rebuild
+// it only when the population changes; alternating populations on one
+// program instance must still match the oracle at each.
+TEST(BatchEngineParity, ReduceScheduleFollowsPopulation) {
+  auto reduce = MakeReduceProgram();
+  auto general = MakeGeneralProgram();
+  for (const std::int64_t population : {1 << 10, 1 << 16, 1 << 10, 1 << 20}) {
+    SCOPED_TRACE(::testing::Message() << "population=" << population);
+    EngineConfig config;
+    config.population = population;
+    config.num_active = 32;
+    config.channels = 1;
+    config.stop_when_solved = false;
+    CheckParity(config, core::MakeReduceOnly(), *reduce, 50);
+    config.channels = 64;
+    config.stop_when_solved = true;
+    CheckParity(config, core::MakeGeneral(), *general, 50);
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 TEST(BatchEngineParity, GeneralFewChannelsFallback) {
   EngineConfig config;
   config.population = 1024;

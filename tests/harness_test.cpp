@@ -434,6 +434,17 @@ TEST(Registry, StepProgramTwinsRegistered) {
   EXPECT_FALSE(static_cast<bool>(HandleFor(decay).step_program));
 }
 
+// Step programs and lane twins are anonymous: BatchEngine samples no IDs
+// and BatchContext carries none. binary_descent_cd descends over
+// NodeContext::unique_id(), so it is the one registered protocol that must
+// stay coroutine-only; a step twin registered for it could not see the IDs
+// its coroutine reads.
+TEST(Registry, IdReadingProtocolStaysCoroutineOnly) {
+  const AlgorithmInfo& descent = AlgorithmByName("binary_descent_cd");
+  EXPECT_EQ(descent.make_step, nullptr);
+  EXPECT_FALSE(static_cast<bool>(HandleFor(descent).step_program));
+}
+
 TEST(Registry, LookupByName) {
   EXPECT_EQ(AlgorithmByName("general").name, "general");
   EXPECT_TRUE(AlgorithmByName("two_active").requires_two_active);

@@ -315,6 +315,39 @@ TEST(TrialEngineFamilyParity, General2000SeedsAllBackends) {
                               /*expect_same_fused=*/false);
 }
 
+// The lane twins keep their Reduce schedule across chunks and calls and
+// rebuild it only when the population changes: one engine (and its cached
+// twin) alternating populations must still match the oracle at each.
+TEST(TrialEngineFamilyParity, ReduceScheduleFollowsPopulation) {
+  TrialBatchEngine engine;
+  auto reduce = MakeReduceProgram();
+  auto general = MakeGeneralProgram();
+  std::vector<std::uint64_t> seeds(40);
+  for (std::size_t t = 0; t < seeds.size(); ++t) seeds[t] = 20'000 + t;
+  std::vector<RunResult> results(seeds.size());
+  // Populations vary innermost: the engine re-creates its cached twin
+  // whenever it is handed a different program.
+  for (const bool is_reduce : {true, false}) {
+    for (const std::int64_t population : {1 << 10, 1 << 16, 1 << 10, 1 << 20}) {
+      EngineConfig config;
+      config.population = population;
+      config.num_active = 32;
+      config.channels = is_reduce ? 1 : 64;
+      config.stop_when_solved = !is_reduce;
+      config.rng = support::RngKind::kPhilox;
+      engine.Run(config, is_reduce ? *reduce : *general, seeds, results);
+      const ProtocolFactory coroutine =
+          is_reduce ? core::MakeReduceOnly() : core::MakeGeneral();
+      for (std::size_t t = 0; t < seeds.size(); ++t) {
+        config.seed = seeds[t];
+        ExpectSameResult(Engine::Run(config, coroutine), results[t],
+                         config.seed, is_reduce ? "reduce" : "general");
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
+  }
+}
+
 TEST(TrialEngineFamilyParity, GeneralFewChannelsKnockoutFallback) {
   // C below min_channels routes general onto its O(1)-channel knockout
   // protocol — the twin's fallback_ path, exercised end to end.
