@@ -176,8 +176,8 @@ class AdversaryRun {
   // Records what the adversary saw in the round just resolved (channels
   // with at least one transmitter, in the resolver's first-touched order;
   // counts censored under ObsMode::kActivity). No-op unless the strategy
-  // needs observations — both engines follow the same rule, keeping
-  // strategy state identical across executors.
+  // needs observations. Every executor runs the one round loop
+  // (sim/round_loop.h), so strategy state is identical across executors.
   void ObserveRound(const mac::Resolver& resolver, std::int64_t round);
 
   const BudgetLedger& ledger() const { return ledger_; }

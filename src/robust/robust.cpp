@@ -155,9 +155,10 @@ std::int32_t ConfirmQuorum(double suppress_rate, std::int64_t population,
   if (floor_attempts <= 0) return 0;  // confirmation explicitly disabled
   if (suppress_rate <= 0.0) return floor_attempts;
   if (suppress_rate >= 1.0) return kMaxConfirmQuorum;
-  // Smallest k with p^k <= 1/n  ⇔  k >= ln(n) / -ln(p). Both engines
-  // evaluate this in the same translation unit on the same inputs, so the
-  // floating-point result — and therefore the quorum — is identical.
+  // Smallest k with p^k <= 1/n  ⇔  k >= ln(n) / -ln(p). Every
+  // executor evaluates this in the same translation unit on the same
+  // inputs, so the floating-point result — and therefore the quorum — is
+  // identical.
   const double n = static_cast<double>(population < 2 ? 2 : population);
   const double k = std::ceil(std::log(n) / -std::log(suppress_rate));
   if (k >= static_cast<double>(kMaxConfirmQuorum)) return kMaxConfirmQuorum;

@@ -36,9 +36,9 @@
 //      bounds rounds without observable progress. A jammed stage restarts
 //      the epoch instead of stalling to max_rounds.
 //
-// Both engines (sim/engine.cpp, sim/batch_engine.cpp) drive the layer
-// through the EpochDriver below at identical points of their round loops,
-// so wrapped runs stay bit-exact across executors; with the layer disabled
+// The one round loop both engines run on (sim/round_loop.cpp) drives the
+// layer through the EpochDriver below, so wrapped runs stay bit-exact
+// across executors by construction; with the layer disabled
 // — or enabled over a pristine, unjammed run — execution is bit-identical
 // to an unwrapped run (epoch 0 uses the unsalted seed, and the
 // confirmation path inserts zero rounds when the candidate delivers).
@@ -179,7 +179,7 @@ inline constexpr std::int32_t kHardenedDummyWindow = 48;
 
 // Engine-facing robust-execution configuration (embedded in
 // sim::EngineConfig and harness::TrialSpec). Defaults are inert: enabled
-// == false leaves both engines on their historical code paths.
+// == false leaves the round loop on its unwrapped code path.
 struct RobustSpec {
   bool enabled = false;
   // Static: PR 5 constants. Adaptive: confirmation quorum, epoch budgets
@@ -255,15 +255,13 @@ std::int32_t ConfirmQuorum(double suppress_rate, std::int64_t population,
                            std::int32_t floor_attempts);
 
 // Index (into `actions`) of the round's lone primary-channel transmitter,
-// or -1 if there is none. Engines call this on a candidate round to pick
-// the echo-round winner; passing the coroutine engine's full action array
-// yields the node id directly, passing the batch engine's dense alive-
-// ordered array yields the alive index.
+// or -1 if there is none. The round loop calls this on a candidate round to
+// pick the echo-round winner; on its dense alive-ordered action array the
+// result is the winner's alive index.
 std::int32_t FindPrimaryWinner(std::span<const mac::Action> actions);
 
-// Per-run robust bookkeeping, owned once per engine run and driven at
-// identical points by both executors (the shared state machine is what
-// keeps wrapped runs bit-exact across engines):
+// Per-run robust bookkeeping, owned once per run by sim::RoundLoop, which
+// every executor runs on:
 //
 //   - CountRound() after every protocol or echo round of the epoch;
 //   - ChaffTriggered(primary_tx) after each protocol round, then
@@ -283,8 +281,8 @@ std::int32_t FindPrimaryWinner(std::span<const mac::Action> actions);
 // PauseRounds() and the watchdog budget (see file comment). Under
 // kHardened the retry-epoch schedule additionally carries the jitter and
 // dummy-round obfuscation, drawn from a dedicated salted stream of
-// `run_seed` at BeginNextEpoch — both engines call it at the same point,
-// so wrapped runs stay bit-exact across executors.
+// `run_seed` at BeginNextEpoch, which the round loop calls once per
+// failed epoch, so wrapped runs stay bit-exact across executors.
 //
 // With spec.enabled == false the driver is inert: WatchdogExpired and
 // CanRetry are always false, and the engines never reach the other calls.
@@ -305,10 +303,11 @@ class EpochDriver {
   bool hardened() const { return spec_.Hardened(); }
   std::int32_t epoch() const { return epoch_; }
   // Static: the spec constant. Adaptive: the w.h.p. quorum for the current
-  // suppression-rate estimate. The engines' confirmation loops re-evaluate
-  // this bound after every echo, so an exchange escalates *while it runs*:
-  // each suppressed echo raises the estimate, which raises the quorum,
-  // until an echo delivers or kMaxConfirmQuorum caps the exchange.
+  // suppression-rate estimate. The round loop's confirmation exchange
+  // re-evaluates this bound after every echo, so an exchange escalates
+  // *while it runs*: each suppressed echo raises the estimate, which raises
+  // the quorum, until an echo delivers or kMaxConfirmQuorum caps the
+  // exchange.
   std::int32_t confirm_attempts() const {
     if (!adaptive()) return spec_.confirm_attempts;
     return ConfirmQuorum(SuppressionEstimate(), population_,

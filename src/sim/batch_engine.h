@@ -1,16 +1,19 @@
 // Columnar fast-path executor for step programs.
 //
 // BatchEngine::Run executes the same model as Engine::Run (sim/engine.h)
-// but drives a StepProgram (sim/step_program.h) instead of per-node
-// coroutines: node state lives in flat arrays, each round is two linear
-// sweeps over the alive prefix, and only alive nodes' actions are handed to
-// mac::Resolver — whose touched_channels scratch keeps resolution O(alive)
-// per round instead of O(num_active) or O(C).
+// on the same round loop (sim/round_loop.h) but drives a StepProgram
+// (sim/step_program.h) instead of per-node coroutines: node state lives in
+// flat arrays, each round is two linear sweeps over the alive prefix, and
+// only alive nodes' actions are handed to mac::Resolver — whose
+// touched_channels scratch keeps resolution O(alive) per round instead of
+// O(num_active) or O(C). On pristine strong-CD untraced rounds the program
+// may fuse a whole round (StepProgram::FastRound) and skip the resolver.
 //
-// The engine instance owns all scratch (RNG columns, action/feedback
-// buffers, the resolver) and reuses it across Run calls, so a Monte-Carlo
-// sweep of trials is allocation-free after the first trial of a given
-// shape. One instance per thread; Run is not reentrant.
+// The engine instance owns all scratch (RNG columns and the round loop
+// with its action/feedback buffers and resolver) and reuses it across Run
+// calls, so a Monte-Carlo sweep of trials is allocation-free after the
+// first trial of a given shape. One instance per thread; Run is not
+// reentrant.
 //
 // For programs with identical_draw_order() (all shipped ones), the
 // RunResult is bit-exact against Engine::Run on the same EngineConfig:
@@ -25,11 +28,10 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
-#include "mac/resolver.h"
 #include "sim/engine.h"
+#include "sim/round_loop.h"
 #include "sim/step_program.h"
 #include "support/rng.h"
 
@@ -56,21 +58,8 @@ class BatchEngine {
   void set_fused_rounds(bool enabled) { fused_rounds_enabled_ = enabled; }
 
  private:
-  std::optional<mac::Resolver> resolver_;
+  RoundLoop loop_;
   std::vector<support::RandomSource> rng_;
-  std::vector<NodeId> alive_;
-  std::vector<mac::Action> actions_;
-  std::vector<mac::Feedback> feedback_;
-  // Scratch for engine-fabricated rounds under the robust layer
-  // (confirmation echoes, backoff pauses): kept separate so the protocol
-  // round held in actions_/feedback_ survives for Advance.
-  std::vector<mac::Action> fab_actions_;
-  std::vector<mac::Feedback> fab_feedback_;
-  std::vector<std::uint8_t> finished_;
-  // Crash-stop is permanent across robust epochs: marked nodes are never
-  // re-included in the alive set on epoch restart.
-  std::vector<std::uint8_t> crashed_;
-  std::vector<std::int64_t> node_tx_;
   bool fused_rounds_enabled_ = true;
 };
 

@@ -1,9 +1,14 @@
-// The lockstep round executor.
+// The coroutine executor: the semantic oracle.
 //
 // Engine::Run simulates one execution: it activates `num_active` nodes (out
 // of a population of `population` possible nodes), hands each a protocol
 // coroutine, and advances synchronous rounds until the protocol terminates
 // everywhere, the problem is solved (optional), or a round limit is hit.
+// The rounds themselves — resolution, solved-detection, faults, adversary,
+// robust wrapper and the RunResult epilogue — are sim::RoundLoop's
+// (sim/round_loop.h), the loop BatchEngine runs on too; Engine::Run only
+// adapts the coroutines to it (contexts, tasks, the wakeup transform's
+// auto-beacon, and node_reports).
 //
 // Solved-detection is the model-level ground truth from Section 3 of the
 // paper: the run is solved in the first round in which *exactly one* node

@@ -21,7 +21,7 @@
 
 namespace crmc::sim {
 
-class Engine;
+class CoroutineStepper;  // Engine::Run's coroutine adapter (sim/engine.cpp)
 
 using NodeId = std::int32_t;
 
@@ -130,7 +130,7 @@ class NodeContext {
   }
 
  private:
-  friend class Engine;
+  friend class CoroutineStepper;
 
   NodeId index_;
   std::int64_t population_;

@@ -1,0 +1,365 @@
+#include "sim/round_loop.h"
+
+#include <algorithm>
+
+#include "adversary/adversary.h"
+#include "mac/faults.h"
+#include "robust/robust.h"
+#include "simd/kernels.h"
+#include "support/assert.h"
+
+namespace crmc::sim {
+
+void SummarizeNodeTransmissions(std::span<const std::int64_t> node_tx,
+                                bool record, RunResult& result) {
+  for (const std::int64_t tx : node_tx) {
+    result.max_node_transmissions = std::max(result.max_node_transmissions, tx);
+    result.mean_node_transmissions += static_cast<double>(tx);
+  }
+  result.mean_node_transmissions /= static_cast<double>(node_tx.size());
+  if (record) result.node_transmissions.assign(node_tx.begin(), node_tx.end());
+}
+
+RunResult RoundLoop::Run(const EngineConfig& config, std::int64_t population,
+                         NodeStepper& stepper) {
+  const auto n = static_cast<std::size_t>(config.num_active);
+
+  robust::EpochDriver epochs(config.robust, population, config.channels,
+                             config.seed);
+  node_tx_.assign(n, 0);
+  crashed_.assign(n, 0);
+  if (!resolver_ || resolver_->num_channels() != config.channels ||
+      resolver_->cd_model() != config.cd_model) {
+    resolver_.emplace(config.channels, config.cd_model);
+  }
+
+  RunResult result;
+  mac::FaultInjector injector(EffectiveFaultSpec(config), config.seed);
+  mac::FaultInjector* const fault_ptr =
+      injector.active() ? &injector : nullptr;
+  adversary::AdversaryRun adversary(config.adversary, config.seed);
+  // Fused-round gate (NodeStepper::FusedRound): the conditions are per-run
+  // constants. An observation-reading adversary pins the run to
+  // materialized rounds (a fused round never runs the resolver it would
+  // eavesdrop on), and so does the robust layer: epoch boundaries,
+  // confirmation echoes and watchdog bookkeeping all need materialized
+  // rounds. Wrapped pristine runs stay bit-identical regardless — the
+  // fused path's contract is bit-exactness with the materialized one.
+  const bool fused = stepper.fuses() && !injector.active() &&
+                     config.cd_model == mac::CdModel::kStrong &&
+                     !config.record_trace && !adversary.needs_observation() &&
+                     !config.robust.enabled;
+
+  std::int64_t round = 0;
+  std::int64_t stall_streak = 0;
+  bool aborted = false;
+  // True iff the run hit max_rounds inside a between-epoch backoff pause
+  // (folded into timed_out below; the round loop's own timeout leaves
+  // alive nonempty and is detected that way).
+  bool out_of_rounds = false;
+
+  // Shared accounting for every resolved round, protocol, fused and
+  // fabricated alike: totals, trace, solved-detection, round advance.
+  const auto account_round = [&](const mac::RoundSummary& summary) {
+    result.total_transmissions += summary.total_transmissions;
+    result.adv_jams_spent += summary.adv_jams;
+    result.adv_jams_effective += summary.adv_jams_effective;
+    if (config.record_trace) {
+      RoundTrace rt;
+      rt.round = round;
+      for (const mac::ChannelId ch : resolver_->touched_channels()) {
+        const mac::ChannelActivity& act = resolver_->ActivityOf(ch);
+        rt.events.push_back(
+            ChannelTraceEvent{ch, act.transmitters, act.listeners});
+      }
+      result.trace.push_back(std::move(rt));
+    }
+    if (summary.primary_lone_delivered) {
+      if (!result.solved) {
+        result.solved = true;
+        result.solved_round = round;
+      }
+      result.all_solved_rounds.push_back(round);
+    }
+    ++round;
+  };
+
+  // Resolves and accounts the engine-fabricated round staged in
+  // fab_actions_. The adversary plans and observes it like any protocol
+  // round (backoff silence is a honeypot: a reactive jammer cannot tell it
+  // from an all-listen round), but crash draws are skipped and no node
+  // advances — node state is frozen while the engine holds the floor.
+  // Returns the summary so call sites can feed the adaptive policy and the
+  // echo/backoff spend breakdown.
+  const auto resolve_fabricated = [&]() -> mac::RoundSummary {
+    if (config.record_active_counts) {
+      result.active_counts.push_back(static_cast<std::int64_t>(alive_.size()));
+    }
+    const std::span<const mac::ChannelId> adv_jams =
+        adversary.PlanRound(round, config.channels);
+    const mac::RoundSummary summary =
+        resolver_->Resolve(fab_actions_, fab_feedback_, fault_ptr, adv_jams);
+    adversary.ObserveRound(*resolver_, round);
+    account_round(summary);
+    return summary;
+  };
+
+  // `winner_slot` >= 0 indexes alive_ and fabricates a confirmation echo:
+  // the candidate retransmits its message on the primary channel while
+  // every other live node listens there. -1 fabricates an all-idle backoff
+  // round.
+  const auto fabricated_round =
+      [&](std::int32_t winner_slot) -> mac::RoundSummary {
+    if (winner_slot < 0) {
+      fab_actions_.clear();  // backoff: nobody participates
+      return resolve_fabricated();
+    }
+    const auto w = static_cast<std::size_t>(winner_slot);
+    fab_actions_.assign(alive_.size(),
+                        mac::Action::Listen(mac::kPrimaryChannel));
+    fab_actions_[w] =
+        mac::Action::Transmit(mac::kPrimaryChannel, actions_[w].message);
+    ++node_tx_[static_cast<std::size_t>(alive_[w])];
+    return resolve_fabricated();
+  };
+
+  // Quorum-obfuscating dummy confirm round (the hardened policy's timing
+  // obfuscation): the two lowest-index alive nodes (slots 0 and 1) transmit
+  // together on the primary channel — a guaranteed collision — while every
+  // other live node listens there. To the adversary it is indistinguishable
+  // from a sparse endgame or echo round; faults apply as usual, so an
+  // erasure thinning the pair to a lone transmission is a real delivery
+  // that genuinely solves the run. Requires alive_.size() >= 2.
+  const auto fabricated_dummy_round = [&]() -> mac::RoundSummary {
+    fab_actions_.assign(alive_.size(),
+                        mac::Action::Listen(mac::kPrimaryChannel));
+    for (std::size_t k = 0; k < 2; ++k) {
+      fab_actions_[k] = mac::Action::Transmit(mac::kPrimaryChannel);
+      ++node_tx_[static_cast<std::size_t>(alive_[k])];
+    }
+    return resolve_fabricated();
+  };
+
+  while (true) {  // one iteration per robust epoch (single pass when off)
+    // Bounded exponential backoff before every retry epoch (epoch 0 starts
+    // immediately). All-idle rounds: the protocol is silent, but the
+    // adversary still plans and observes — and every reactive strategy
+    // falls back to camping the primary channel on silence, so the pause
+    // drains its budget.
+    for (std::int64_t pause = epochs.PauseRounds();
+         pause > 0 && round < config.max_rounds; --pause) {
+      const mac::RoundSummary pause_summary = fabricated_round(-1);
+      ++result.backoff_rounds;
+      result.adv_jams_backoff += pause_summary.adv_jams;
+      epochs.NoteBackoffRound(pause_summary.adv_jams);
+    }
+    if (round >= config.max_rounds) {
+      out_of_rounds = true;
+      break;
+    }
+
+    // (Re)build node state for this epoch. Epoch 0 uses the unsalted seed,
+    // so a wrapped pristine run stays bit-identical to an unwrapped one;
+    // later epochs re-salt every per-node stream.
+    alive_.clear();
+    stepper.BeginEpoch(epochs.SeedFor(config.seed), crashed_, alive_);
+    stall_streak = 0;
+
+    bool epoch_failed = false;
+    while (!alive_.empty() && round < config.max_rounds) {
+      // Crash-stop sweep: one draw per alive node in ascending node order,
+      // at the start of the round, before the node gets to act.
+      if (injector.has_crashes()) {
+        std::size_t write = 0;
+        for (std::size_t read = 0; read < alive_.size(); ++read) {
+          if (injector.DrawCrash()) {
+            crashed_[static_cast<std::size_t>(alive_[read])] = 1;
+          } else {
+            alive_[write++] = alive_[read];
+          }
+        }
+        alive_.resize(write);
+        if (alive_.empty()) break;
+      }
+      const std::size_t m = alive_.size();
+      if (config.record_active_counts) {
+        result.active_counts.push_back(static_cast<std::int64_t>(m));
+      }
+
+      // Plan this round's adversary jams from rounds < round only (the
+      // observation recorded after the previous Resolve) — jamming is a bet
+      // on where activity will land, never a reaction to it.
+      const std::span<const mac::ChannelId> adv_jams =
+          adversary.PlanRound(round, config.channels);
+      finished_.assign(m, 0);
+      FastRoundEffects fx;
+      mac::RoundSummary summary;
+      bool jam_credit = false;
+      if (fused && stepper.FusedRound(round, alive_, adv_jams, node_tx_,
+                                      finished_, &fx)) {
+        // A fused round carries no jams (the stepper declines jammed
+        // rounds) and no trace (the gate excludes it).
+        ++result.fused_rounds;
+        summary.total_transmissions = fx.transmissions;
+        summary.lone_deliveries = static_cast<std::int32_t>(fx.lone_deliveries);
+        summary.primary_lone_delivered = fx.primary_lone_delivered;
+        account_round(summary);
+        if (result.solved && config.stop_when_solved) break;
+      } else {
+        actions_.resize(m);
+        stepper.Emit(round, alive_, actions_);
+        for (std::size_t k = 0; k < m; ++k) {
+          if (actions_[k].channel != mac::kIdleChannel &&
+              actions_[k].transmit) {
+            ++node_tx_[static_cast<std::size_t>(alive_[k])];
+          }
+        }
+        // Dense alive-only span: the resolver's sparse touched_channels
+        // path makes this O(m), independent of num_active and C.
+        summary = resolver_->Resolve(actions_, feedback_, fault_ptr, adv_jams);
+        adversary.ObserveRound(*resolver_, round);
+        account_round(summary);
+        epochs.CountRound();
+        // Hardened jam credit: a jammed protocol round is adversary-bought
+        // time — it extends the epoch budget and holds the stall clock
+        // (applied at the streak update below).
+        jam_credit = epochs.NoteProtocolRound(summary.adv_jams);
+
+        // Delivery confirmation: exactly one primary-channel transmitter
+        // whose message was suppressed is a *candidate* — insert echo
+        // rounds until one delivers or attempts run out. A delivered
+        // candidate needs no echo (strong CD already acked it: the
+        // transmitter observed its own kMessage), and a delivered echo is
+        // itself the solving lone delivery.
+        if (epochs.enabled() && !result.solved &&
+            summary.primary_transmitters == 1 &&
+            !summary.primary_lone_delivered) {
+          const std::int32_t winner_slot = robust::FindPrimaryWinner(actions_);
+          CRMC_CHECK(winner_slot >= 0);
+          epochs.NoteCandidate();
+          // The bound is re-evaluated after every echo: under the adaptive
+          // policy a suppressed echo raises the quorum, so the exchange
+          // escalates in place until an echo delivers or kMaxConfirmQuorum
+          // caps it.
+          for (std::int32_t attempt = 0;
+               attempt < epochs.confirm_attempts() &&
+               round < config.max_rounds && !result.solved;
+               ++attempt) {
+            const mac::RoundSummary echo = fabricated_round(winner_slot);
+            ++result.confirm_rounds;
+            result.adv_jams_echo += echo.adv_jams;
+            epochs.NoteEchoRound(echo.primary_lone_delivered, echo.adv_jams);
+            epochs.CountRound();
+          }
+        }
+        // Hardened obfuscation (reactive chaff): retry-epoch non-lone
+        // activity — the trigger a calibrated striker waits for — is
+        // answered with a burst of dummy confirm rounds, extended one round
+        // per jammed dummy up to the epoch's chaff window, so the strike
+        // lands on chaff instead of the fragile rounds behind the trigger.
+        // A triggering round never opens the confirmation exchange above
+        // (that needs a lone primary transmitter), so the two insertions
+        // are mutually exclusive.
+        if (epochs.ChaffTriggered(summary.total_transmissions,
+                                  summary.primary_transmitters) &&
+            alive_.size() >= 2 && !result.solved) {
+          for (std::int32_t burst = epochs.TakeChaffBurst();
+               burst > 0 && round < config.max_rounds && !result.solved;) {
+            const mac::RoundSummary dummy = fabricated_dummy_round();
+            epochs.NoteDummyRound(dummy.adv_jams);
+            epochs.CountRound();
+            --burst;
+            if (burst == 0 && dummy.adv_jams > 0) burst = epochs.ExtendChaff();
+          }
+        }
+        if (result.solved && config.stop_when_solved) break;
+
+        // A ProtocolAssumptionViolation raised by a protocol fed corrupted
+        // feedback aborts the run gracefully instead of propagating — the
+        // model guarantee it checks really was broken, by an adversarial
+        // layer, not by a bug. Under the robust layer the violation fails
+        // the epoch and retries instead.
+        try {
+          stepper.Advance(round, alive_, actions_, feedback_, finished_);
+        } catch (const support::ProtocolAssumptionViolation&) {
+          if (!injector.active() && !adversary.active()) throw;
+          if (epochs.CanRetry()) {
+            epoch_failed = true;
+            break;
+          }
+          result.assumption_violated = true;
+          aborted = true;
+          break;
+        }
+      }
+      const std::size_t write = simd::CompactKeep(alive_, finished_);
+      alive_.resize(write);
+      // Livelock watchdog: a round made progress iff some channel delivered
+      // a lone message or some node terminated (crashes are not progress).
+      // Jam-credited rounds hold the clock.
+      const bool progress = summary.lone_deliveries > 0 || write < m;
+      if (progress) {
+        stall_streak = 0;
+      } else if (!jam_credit) {
+        ++stall_streak;
+      }
+
+      // Phase watchdogs: a jammed stage restarts the epoch instead of
+      // stalling to max_rounds. The final permitted epoch runs to its
+      // natural end (CanRetry gates the check), preserving the timeout and
+      // wedge diagnostics when retries are exhausted.
+      if (!result.solved && epochs.CanRetry() &&
+          epochs.WatchdogExpired(stall_streak)) {
+        epoch_failed = true;
+        break;
+      }
+    }
+
+    // Deluded exit: every node terminated (or crashed) without a confirmed
+    // delivery — the silent failure E23 measures. Retry iff someone is
+    // left to restart.
+    if (!epoch_failed && !aborted && !result.solved && alive_.empty() &&
+        epochs.CanRetry()) {
+      epoch_failed = std::find(crashed_.begin(), crashed_.end(),
+                               std::uint8_t{0}) != crashed_.end();
+    }
+    if (!epoch_failed || round >= config.max_rounds) break;
+    epochs.BeginNextEpoch();
+    // A watchdog-failed epoch leaves mid-flight nodes behind; they are
+    // discarded (the backoff pause and the next epoch see an empty
+    // network, not half-restarted stragglers).
+    alive_.clear();
+  }
+
+  result.rounds_executed = round;
+  const mac::FaultCounters& fc = injector.counters();
+  result.jams_injected = fc.jams;
+  result.erasures_injected = fc.erasures;
+  result.cd_flips_injected = fc.cd_flips;
+  result.faults_injected = fc.Total();
+  result.crashed_nodes = static_cast<std::int32_t>(fc.crashes);
+  result.stall_rounds = stall_streak;
+  result.all_terminated =
+      !aborted && !out_of_rounds && alive_.empty() && fc.crashes == 0;
+  SummarizeNodeTransmissions(node_tx_, config.record_node_transmissions,
+                             result);
+  result.timed_out = (!alive_.empty() && round >= config.max_rounds &&
+                      !(result.solved && config.stop_when_solved)) ||
+                     out_of_rounds;
+  result.wedged =
+      result.timed_out && stall_streak * 2 >= result.rounds_executed;
+  result.adv_rounds_held = adversary.rounds_held();
+  if (epochs.enabled()) {
+    result.epochs_used = epochs.epoch() + 1;
+    result.retries = epochs.epoch();
+    result.confirmed = result.solved;
+    result.adaptive_confirm_extra = epochs.adaptive_confirm_extra();
+    result.adaptive_backoff_trimmed = epochs.adaptive_backoff_trimmed();
+    result.confirm_quorum_peak = epochs.confirm_quorum_peak();
+    result.probe_rounds_detected = epochs.probe_rounds_detected();
+    result.obfuscation_rounds = epochs.obfuscation_rounds();
+  }
+  return result;
+}
+
+}  // namespace crmc::sim

@@ -1111,16 +1111,27 @@ struct LeafMachine {
   std::vector<std::uint8_t> pc, which, probe_collided, first_res, second_res,
       idle_left;
 
+  // Sizes the columns for `n` slots without clearing them: every column is
+  // written before it is read. Only slots that went through Enter are ever
+  // emitted or advanced, and Enter writes leaf/cid/csize/cnode_heap/
+  // cnode_level/pc. kRoot's Advance writes l_min/l_max before
+  // EnterRefinementOrPair reads them, and that writes probe_dist/k_bound
+  // plus which (kProbe) or idle_left (kIdleRounds) before either state
+  // runs. kProbe writes probe_collided before kVerdict reads it, and the
+  // two verdicts write first_res/second_res before kAnnounce reads them —
+  // kAnnounce reads them only when cid < k_bound, i.e. for the members
+  // that probed in the current refinement. A stale value from an earlier
+  // run is therefore never observed (the parity suites pin this down).
   void Init(std::int32_t num_leaves, bool force_binary_in, std::size_t n) {
     tree.emplace(num_leaves);
     force_binary = force_binary_in;
     for (auto* col : {&leaf, &cid, &csize, &cnode_heap, &cnode_level, &l_min,
                       &l_max, &probe_dist, &k_bound}) {
-      col->assign(n, 0);
+      col->resize(n);
     }
     for (auto* col : {&pc, &which, &probe_collided, &first_res, &second_res,
                       &idle_left}) {
-      col->assign(n, 0);
+      col->resize(n);
     }
   }
 

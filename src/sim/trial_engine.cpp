@@ -1,8 +1,10 @@
 #include "sim/trial_engine.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
+#include "sim/round_loop.h"
 #include "simd/kernels.h"
 #include "support/assert.h"
 
@@ -22,7 +24,7 @@ void TrialBatchEngine::set_fused_rounds(bool enabled) {
 void TrialBatchEngine::Run(const EngineConfig& config, StepProgram& program,
                            std::span<const std::uint64_t> seeds,
                            std::span<RunResult> results) {
-  ValidateEngineConfig(config);
+  const std::int64_t population = ValidateEngineConfig(config);
   CRMC_REQUIRE(seeds.size() == results.size());
   if (config.rng != support::RngKind::kPhilox) {
     throw std::invalid_argument(
@@ -52,12 +54,7 @@ void TrialBatchEngine::Run(const EngineConfig& config, StepProgram& program,
       !EffectiveFaultSpec(config).Any() &&
       config.adversary.kind == adversary::Kind::kNone;
   if (!lane_fusible) {
-    EngineConfig solo = config;
-    for (std::size_t i = 0; i < seeds.size(); ++i) {
-      solo.seed = seeds[i];
-      results[i] = fallback_.Run(solo, program);
-      results[i].trial_fallback = true;
-    }
+    RunFallback(config, program, seeds, results, AllLanes(seeds.size()));
     return;
   }
 
@@ -65,8 +62,8 @@ void TrialBatchEngine::Run(const EngineConfig& config, StepProgram& program,
        offset += static_cast<std::size_t>(lane_width_)) {
     const std::size_t w = std::min(static_cast<std::size_t>(lane_width_),
                                    seeds.size() - offset);
-    RunLaneChunk(config, program, *trial_, seeds.subspan(offset, w),
-                 results.subspan(offset, w));
+    RunLaneChunk(config, population, program, *trial_,
+                 seeds.subspan(offset, w), results.subspan(offset, w));
   }
 }
 
@@ -84,11 +81,17 @@ void TrialBatchEngine::RunFallback(const EngineConfig& config,
   }
 }
 
+std::span<const std::int32_t> TrialBatchEngine::AllLanes(std::size_t count) {
+  live_.resize(count);
+  std::iota(live_.begin(), live_.end(), 0);
+  return live_;
+}
+
 void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
+                                    std::int64_t population,
                                     StepProgram& program, TrialProgram& trial,
                                     std::span<const std::uint64_t> seeds,
                                     std::span<RunResult> results) {
-  const std::int64_t population = ValidateEngineConfig(config);
   const auto n = static_cast<std::size_t>(config.num_active);
   const auto w = seeds.size();
 
@@ -111,11 +114,7 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
 
   fallback_lanes_.clear();
   if (!trial.Reset(ctx, static_cast<std::int32_t>(w))) {
-    live_.resize(w);
-    for (std::size_t lane = 0; lane < w; ++lane) {
-      live_[lane] = static_cast<std::int32_t>(lane);
-    }
-    RunFallback(config, program, seeds, results, live_);
+    RunFallback(config, program, seeds, results, AllLanes(w));
     return;
   }
 
@@ -128,7 +127,7 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
   }
 
   // Finalizes one retired lane's result. Every executed lane round is a
-  // fused round; the energy summaries mirror BatchEngine's epilogue.
+  // fused round; the energy summaries are RoundLoop's.
   const auto finalize = [&](std::int32_t lane, std::int64_t rounds,
                             bool terminated, bool timed_out) {
     RunResult& r = results[static_cast<std::size_t>(lane)];
@@ -137,18 +136,10 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
     r.trial_lanes = static_cast<std::int32_t>(w);
     r.all_terminated = terminated;
     r.stall_rounds = stall_[static_cast<std::size_t>(lane)];
-    const std::size_t base = static_cast<std::size_t>(lane) * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::int64_t tx = node_tx_[base + j];
-      r.max_node_transmissions = std::max(r.max_node_transmissions, tx);
-      r.mean_node_transmissions += static_cast<double>(tx);
-    }
-    r.mean_node_transmissions /= static_cast<double>(config.num_active);
-    if (config.record_node_transmissions) {
-      r.node_transmissions.assign(
-          node_tx_.begin() + static_cast<std::ptrdiff_t>(base),
-          node_tx_.begin() + static_cast<std::ptrdiff_t>(base + n));
-    }
+    SummarizeNodeTransmissions(
+        std::span<const std::int64_t>(node_tx_).subspan(
+            static_cast<std::size_t>(lane) * n, n),
+        config.record_node_transmissions, r);
     r.timed_out = timed_out;
     r.wedged = timed_out && r.stall_rounds * 2 >= r.rounds_executed;
   };

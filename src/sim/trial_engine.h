@@ -66,14 +66,17 @@ class TrialBatchEngine {
            std::span<const std::uint64_t> seeds, std::span<RunResult> results);
 
  private:
-  void RunLaneChunk(const EngineConfig& config, StepProgram& program,
-                    TrialProgram& trial, std::span<const std::uint64_t> seeds,
+  void RunLaneChunk(const EngineConfig& config, std::int64_t population,
+                    StepProgram& program, TrialProgram& trial,
+                    std::span<const std::uint64_t> seeds,
                     std::span<RunResult> results);
-  // Per-trial BatchEngine reruns for `lanes` (chunk lane ids).
+  // Per-trial BatchEngine runs for `lanes` (indices into seeds/results).
   void RunFallback(const EngineConfig& config, StepProgram& program,
                    std::span<const std::uint64_t> seeds,
                    std::span<RunResult> results,
                    std::span<const std::int32_t> lanes);
+  // Lane ids 0 .. count-1, staged in live_.
+  std::span<const std::int32_t> AllLanes(std::size_t count);
 
   std::int32_t lane_width_;
   bool fused_rounds_enabled_ = true;
