@@ -10,7 +10,7 @@
 //   --json <path>    engine-vs-engine throughput grid: runs the coroutine
 //                    oracle (sim::Engine) and the columnar fast path
 //                    (sim::BatchEngine) over identical seeds across an
-//                    n x C grid, times the simd kernels per backend, and
+//                    n x C grid, times the simd kernels, and
 //                    writes the machine-readable artifact (schema
 //                    crmc.bench_engine.v4) consumed by
 //                    tools/check_bench_json.py. `--quick` shrinks trial
@@ -247,10 +247,11 @@ std::string CpuModelName() {
 }
 
 // ---------------------------------------------------------------------------
-// Per-kernel microbenchmarks: lanes/sec for each simd kernel under every
-// backend available on this binary+CPU. The workload is fixed (4096 lanes,
-// philox draws) so numbers are comparable across backends and across
-// machines of the same ISA.
+// Per-kernel microbenchmarks: lanes/sec for each simd kernel. CompactKeep,
+// the one kernel with a vector body, is timed under every backend
+// available on this binary+CPU; the others have one implementation and are
+// timed once (reported as "scalar"). The workload is fixed (4096 lanes,
+// philox draws) so numbers are comparable across machines of the same ISA.
 // ---------------------------------------------------------------------------
 
 struct KernelTiming {
@@ -277,8 +278,6 @@ double TimeKernelRate(std::int64_t items_per_iter, int iters, Body&& body) {
 }
 
 void RunKernelBenches(std::vector<KernelTiming>& out) {
-  const simd::Backend prior = simd::ActiveBackend();
-
   std::vector<support::RandomSource> rng;
   rng.reserve(kKernelLanes);
   for (std::size_t i = 0; i < kKernelLanes; ++i) {
@@ -297,7 +296,7 @@ void RunKernelBenches(std::vector<KernelTiming>& out) {
 
   // Compaction input: ~half the lanes dropped in a scattered pattern. The
   // work buffer is re-filled from a template each iteration (same memcpy
-  // for every backend, so relative numbers stay meaningful).
+  // for both backends, so relative numbers stay meaningful).
   std::vector<sim::NodeId> ids_template(kKernelLanes);
   std::vector<std::uint8_t> drop(kKernelLanes);
   std::vector<sim::NodeId> ids(kKernelLanes);
@@ -314,30 +313,27 @@ void RunKernelBenches(std::vector<KernelTiming>& out) {
         1 + (static_cast<std::uint32_t>(i) * 2654435761u >> 8) % kChannels);
   }
   std::vector<std::uint16_t> counts(
-      static_cast<std::size_t>(kChannels) + 3, 0);
+      static_cast<std::size_t>(kChannels) + 1, 0);
   std::vector<std::int32_t> touched;
   touched.reserve(kKernelLanes);
   std::vector<std::uint8_t> lone(kKernelLanes);
 
-  const simd::Backend backends[] = {simd::Backend::kScalar,
-                                    simd::Backend::kSse42,
-                                    simd::Backend::kAvx2};
-  for (const simd::Backend b : backends) {
-    if (!simd::BackendAvailable(b)) continue;
-    CRMC_CHECK(simd::SetBackend(b));
-    const auto lanes = static_cast<std::int64_t>(kKernelLanes);
-
-    out.push_back({"coin_mask", b, lanes,
-                   TimeKernelRate(lanes, 1000, [&] {
-                     const std::int64_t tx =
-                         simd::CoinMask(coin, rng, lanes_idx, mask);
-                     benchmark::DoNotOptimize(tx);
-                   })});
-    out.push_back({"uniform_fill", b, lanes,
-                   TimeKernelRate(lanes, 1000, [&] {
-                     simd::UniformFill(dist, rng, lanes_idx, fill);
-                     benchmark::DoNotOptimize(fill.data());
-                   })});
+  const auto lanes = static_cast<std::int64_t>(kKernelLanes);
+  out.push_back({"coin_mask", simd::Backend::kScalar, lanes,
+                 TimeKernelRate(lanes, 1000, [&] {
+                   const std::int64_t tx =
+                       simd::CoinMask(coin, rng, lanes_idx, mask);
+                   benchmark::DoNotOptimize(tx);
+                 })});
+  out.push_back({"uniform_fill", simd::Backend::kScalar, lanes,
+                 TimeKernelRate(lanes, 1000, [&] {
+                   simd::UniformFill(dist, rng, lanes_idx, fill);
+                   benchmark::DoNotOptimize(fill.data());
+                 })});
+  const simd::Backend prior = simd::ActiveBackend();
+  for (const simd::Backend b :
+       {simd::Backend::kScalar, simd::Backend::kAvx2}) {
+    if (!simd::SetBackend(b)) continue;
     out.push_back({"compact_keep", b, lanes,
                    TimeKernelRate(lanes, 2000, [&] {
                      std::copy(ids_template.begin(), ids_template.end(),
@@ -345,36 +341,30 @@ void RunKernelBenches(std::vector<KernelTiming>& out) {
                      const std::size_t w = simd::CompactKeep(ids, drop);
                      benchmark::DoNotOptimize(w);
                    })});
-    out.push_back({"classify_channels", b, lanes,
-                   TimeKernelRate(lanes, 1000, [&] {
-                     const simd::Occupancy occ = simd::ClassifyChannels(
-                         channels, mac::kPrimaryChannel, counts, touched,
-                         lone);
-                     benchmark::DoNotOptimize(occ.lone_channels);
-                   })});
-  }
-
-  // SeedStreams shares the scalar expansion on every backend (see
-  // kernels.cpp), so it is timed once per kind rather than per backend.
-  // Xoshiro seeding is the engine-setup path the grid runs; philox shares
-  // the SplitMix64 premix but skips the state fill.
-  {
-    const auto lanes = static_cast<std::int64_t>(kKernelLanes);
-    std::vector<support::RandomSource> seeded(kKernelLanes);
-    out.push_back({"seed_streams_xoshiro", simd::Backend::kScalar, lanes,
-                   TimeKernelRate(lanes, 1000, [&] {
-                     simd::SeedStreams(0x5eed, 1, support::RngKind::kXoshiro,
-                                       seeded);
-                     benchmark::DoNotOptimize(seeded.data());
-                   })});
-    out.push_back({"seed_streams_philox", simd::Backend::kScalar, lanes,
-                   TimeKernelRate(lanes, 1000, [&] {
-                     simd::SeedStreams(0x5eed, 1, support::RngKind::kPhilox,
-                                       seeded);
-                     benchmark::DoNotOptimize(seeded.data());
-                   })});
   }
   CRMC_CHECK(simd::SetBackend(prior));
+  out.push_back({"classify_channels", simd::Backend::kScalar, lanes,
+                 TimeKernelRate(lanes, 1000, [&] {
+                   const simd::Occupancy occ = simd::ClassifyChannels(
+                       channels, mac::kPrimaryChannel, counts, touched, lone);
+                   benchmark::DoNotOptimize(occ.lone_channels);
+                 })});
+
+  // Xoshiro seeding is the engine-setup path the grid runs; philox shares
+  // the SplitMix64 premix but skips the state fill.
+  std::vector<support::RandomSource> seeded(kKernelLanes);
+  out.push_back({"seed_streams_xoshiro", simd::Backend::kScalar, lanes,
+                 TimeKernelRate(lanes, 1000, [&] {
+                   simd::SeedStreams(0x5eed, 1, support::RngKind::kXoshiro,
+                                     seeded);
+                   benchmark::DoNotOptimize(seeded.data());
+                 })});
+  out.push_back({"seed_streams_philox", simd::Backend::kScalar, lanes,
+                 TimeKernelRate(lanes, 1000, [&] {
+                   simd::SeedStreams(0x5eed, 1, support::RngKind::kPhilox,
+                                     seeded);
+                   benchmark::DoNotOptimize(seeded.data());
+                 })});
 }
 
 // ---------------------------------------------------------------------------

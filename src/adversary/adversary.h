@@ -136,7 +136,7 @@ class Adversary {
   virtual ~Adversary() = default;
   virtual const char* name() const = 0;
   // Whether the strategy reads RoundObservations. Observation-free
-  // strategies let the batch engine keep its fused SIMD round loop alive
+  // strategies let the batch engine keep its fused round loop alive
   // whenever the planned jam set is empty (e.g. after budget exhaustion).
   virtual bool needs_observation() const { return false; }
   virtual void PlanJams(const PlanContext& ctx,

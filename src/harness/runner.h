@@ -31,8 +31,8 @@ struct TrialSpec {
   // Trials per lockstep chunk of the trial-parallel executor
   // (sim/trial_engine.h). 1 (the default) keeps the per-trial batch path;
   // > 1 makes each worker claim blocks of this many consecutive trials and
-  // run them as SIMD lanes — requires rng == kPhilox (the executor rejects
-  // xoshiro) and a step program. Results are bit-identical to lane width 1
+  // run them as lockstep lanes — requires rng == kPhilox (the executor
+  // rejects xoshiro) and a step program. Results are bit-identical to lane width 1
   // for any width and thread count: every trial is a pure function of its
   // per-trial config, so sharding changes nothing but wall-clock.
   std::int32_t lane_width = 1;
@@ -42,8 +42,8 @@ struct TrialSpec {
   bool fused_rounds = true;
   // Core generator for every trial's draw streams. Either kind keeps the
   // batch/coroutine engines bit-identical; philox draws are counter-based
-  // (lane-reproducible and SIMD-vectorizable), xoshiro keeps the
-  // historical sequential bit streams.
+  // (lane-reproducible; the trial-parallel executor requires them),
+  // xoshiro keeps the historical sequential bit streams.
   support::RngKind rng = support::RngKind::kXoshiro;
   // Adversarial fault injection, forwarded to every trial's EngineConfig.
   mac::FaultSpec faults;

@@ -81,10 +81,11 @@ struct EngineConfig {
   // the unsalted seed and a delivered candidate confirms at zero cost).
   robust::RobustSpec robust;
   // Core generator for the per-node (and ID-sampling) streams. kXoshiro
-  // keeps the historical bit streams; kPhilox is counter-based and lets the
-  // batch engine's SIMD kernels (src/simd/) vectorize the draws. Either
-  // kind, both engines stay bit-exact against each other — the parity
-  // suite runs in both modes. Fault-injection streams are unaffected.
+  // keeps the historical bit streams; kPhilox is counter-based (draw i of
+  // a stream is a pure function of its key and i), which the trial-parallel
+  // executor requires. Either kind, both engines stay bit-exact against
+  // each other — the parity suite runs in both modes. Fault-injection
+  // streams are unaffected.
   support::RngKind rng = support::RngKind::kXoshiro;
 };
 

@@ -27,7 +27,7 @@ using tree::ChannelTree;
 // ---------------------------------------------------------------------------
 // Fused-round helpers. FastRound implementations below execute a whole
 // pristine strong-CD round — draws, resolution, transitions — without
-// materializing Action/Feedback arrays; the SIMD kernels (src/simd/) do the
+// materializing Action/Feedback arrays; the batch kernels (src/simd/) do the
 // per-lane loops. Draw order per lane is identical to EmitActions, so the
 // fused and generic paths are bit-exact (the engine parity suite runs both).
 
@@ -397,8 +397,8 @@ class TwoActiveProgram final : public StepProgram {
 // ---------------------------------------------------------------------------
 // TwoActive's trial-parallel twin: W independent trials ("lanes") in
 // lockstep, per-lane state in flat planes, per-round draws batched across
-// lanes into one slot list per draw kind and evaluated by the simd::
-// kernels in a single vectorized pass. The per-(lane, node) streams sit in
+// lanes into one slot list per draw kind and evaluated by one simd::
+// kernel call each. The per-(lane, node) streams sit in
 // the ctx.rng[lane * num_active + node] plane, so a lane's draw order is
 // exactly the per-trial FastRound's — lanes touch disjoint slots and each
 // stream is drawn at most once per round, making every lane bit-exact
@@ -814,9 +814,9 @@ class IdReductionProgram final : public StepProgram {
     chan_.assign(n, 0);
     renamed_.assign(n, 0);
     pairs_.assign(n, 0);
-    // ClassifyChannels scratch: spread channels lie in [1, eff/2], the +3
-    // covers the gather padding; must start (and is kept) all-zero.
-    counts_.assign(static_cast<std::size_t>(eff / 2) + 3, 0);
+    // ClassifyChannels scratch: spread channels lie in [1, eff/2]; must
+    // start (and is kept) all-zero.
+    counts_.assign(static_cast<std::size_t>(eff / 2) + 1, 0);
   }
 
   void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
@@ -990,7 +990,7 @@ class IdReductionTrialProgram final : public TrialProgram {
     if (eff < 4) return false;  // per-trial path throws; fall back wholesale
     spread_.emplace(1, eff / 2);
     knock_.emplace(KnockCoin(eff, params_));
-    counts_.assign(static_cast<std::size_t>(eff / 2) + 3, 0);
+    counts_.assign(static_cast<std::size_t>(eff / 2) + 1, 0);
     set_.Reset(lanes, ctx.num_active);
     renamed_.assign(set_.alive.size(), 0);
     return true;
@@ -1623,9 +1623,9 @@ class GeneralProgram final : public StepProgram {
     spread_.emplace(1, eff_ / 2);
     knock_.emplace(KnockCoin(eff_, params_.id_reduction));
     leaf_.Init(eff_ / 2, params_.leaf_election.force_binary_search, n);
-    // ClassifyChannels scratch: spread channels lie in [1, eff/2], the +3
-    // covers the gather padding; must start (and is kept) all-zero.
-    counts_.assign(static_cast<std::size_t>(eff_ / 2) + 3, 0);
+    // ClassifyChannels scratch: spread channels lie in [1, eff/2]; must
+    // start (and is kept) all-zero.
+    counts_.assign(static_cast<std::size_t>(eff_ / 2) + 1, 0);
   }
 
   void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
@@ -1915,7 +1915,7 @@ class GeneralTrialProgram final : public TrialProgram {
                set_.alive.size());
     chan_.assign(set_.alive.size(), 0);
     renamed_.assign(set_.alive.size(), 0);
-    counts_.assign(static_cast<std::size_t>(eff_ / 2) + 3, 0);
+    counts_.assign(static_cast<std::size_t>(eff_ / 2) + 1, 0);
     scratch_.Reset(ctx.channels);
     return true;
   }

@@ -60,16 +60,18 @@ struct FastRoundEffects {
 // ---------------------------------------------------------------------------
 // Trial-parallel execution (sim/trial_engine.h): lanes are whole trials.
 //
-// Within one trial the SIMD kernels can only vectorize across alive nodes,
-// which in the small-|A| regimes the paper cares about (two_active is |A|=2)
-// leaves vector units mostly idle. With counter-based Philox streams, draw i
-// of stream s is a pure function of (key, s, i), so W *independent trials*
-// can instead run in lockstep: per-(lane, node) streams live in one flat
-// [lane * num_active + node] plane and each round's draws are gathered into
-// slot lists spanning all lanes, which the existing simd:: kernels then
-// evaluate in one vectorized pass. A TrialProgram is the protocol's
-// lane-parallel twin: it owns [lane][node] state planes and executes one
-// lockstep round for every live lane per call.
+// Within one trial a round has only as many draws as alive nodes, which in
+// the small-|A| regimes the paper cares about (two_active is |A|=2) leaves
+// per-call overhead dominating the kernels. With counter-based Philox
+// streams, draw i of stream s is a pure function of (key, s, i), so W
+// *independent trials* can instead run in lockstep: per-(lane, node)
+// streams live in one flat [lane * num_active + node] plane and each
+// round's draws are gathered into slot lists spanning all lanes, which the
+// existing simd:: kernels then evaluate in one call. The lane gain comes
+// from this lockstep batching across trials, not from vector math. A
+// TrialProgram is the protocol's lane-parallel twin: it owns [lane][node]
+// state planes and executes one lockstep round for every live lane per
+// call.
 
 // Read-only parameters plus the engine-owned flat planes for one
 // trial-parallel run. `rng[lane * num_active + node]` is the stream the

@@ -1,22 +1,20 @@
-// Trial-parallel executor: SIMD lanes are whole trials.
+// Trial-parallel executor: lanes are whole trials.
 //
 // TrialBatchEngine runs W independent trials of one (config, protocol)
 // point in lockstep — per-(lane, node) state and RNG streams live in flat
 // [lane * num_active + node] planes, and each round's draws across every
-// lane are gathered into slot lists and evaluated by the simd:: kernels in
-// one vectorized pass (see TrialProgram in sim/step_program.h). Within a
-// trial the kernels can only vectorize across alive nodes, which in the
-// paper's small-|A| regimes (two_active is |A| = 2) leaves vector units
-// mostly idle and per-trial setup dominating; across trials the lanes are
-// arbitrarily many and embarrassingly independent.
+// lane are gathered into slot lists and evaluated by one simd:: kernel
+// call (see TrialProgram in sim/step_program.h). Within a trial a round
+// only has as many draws as alive nodes, which in the paper's small-|A|
+// regimes (two_active is |A| = 2) leaves per-call and per-trial setup
+// costs dominating; batching across trials amortizes them over arbitrarily
+// many independent lanes.
 //
-// Philox-only: lockstep lanes need counter-based streams, where draw i of
-// stream s is a pure function of (key, s, i) and a SIMD group of lanes can
-// be evaluated with no cross-draw dependency. Xoshiro streams are
-// sequential by construction — batching them across lanes would still be
-// scalar per draw and the historical bit streams gain nothing — so
-// RngKind::kXoshiro is rejected with a distinct std::invalid_argument
-// rather than silently degrading.
+// Philox-only: lockstep lanes are defined on counter-based streams, where
+// draw i of stream s is a pure function of (key, s, i). Xoshiro streams are
+// sequential by construction and keep the historical per-trial bit
+// streams, so RngKind::kXoshiro is rejected with a distinct
+// std::invalid_argument rather than silently degrading.
 //
 // Every trial stays bit-exact against BatchEngine::Run (and hence the
 // coroutine oracle) on the same per-trial config. Configs outside the
@@ -43,9 +41,9 @@ namespace crmc::sim {
 class TrialBatchEngine {
  public:
   // Lanes per lockstep chunk. 32 lanes of a two-node protocol feed the
-  // draw kernels 64-slot batches — deep enough to fill AVX2 Philox groups
-  // and amortize the per-round gather, small enough that the retirement
-  // tail (the last unsolved lanes of a chunk) stays short.
+  // draw kernels 64-slot batches — deep enough to amortize the per-round
+  // gather and kernel calls, small enough that the retirement tail (the
+  // last unsolved lanes of a chunk) stays short.
   static constexpr std::int32_t kDefaultLaneWidth = 32;
 
   explicit TrialBatchEngine(std::int32_t lane_width = kDefaultLaneWidth);

@@ -5,70 +5,29 @@
 namespace crmc::simd {
 namespace {
 
-bool CpuSupports(Backend backend) {
-#if defined(__x86_64__) || defined(__i386__)
-  switch (backend) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kSse42:
-      return __builtin_cpu_supports("sse4.2") != 0;
-    case Backend::kAvx2:
-      return __builtin_cpu_supports("avx2") != 0;
-  }
+Backend BestBackend() {
+  static const Backend best = [] {
+#if defined(__x86_64__)
+    if (__builtin_cpu_supports("avx2")) return Backend::kAvx2;
 #endif
-  return backend == Backend::kScalar;
-}
-
-bool CompiledIn(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return true;
-    case Backend::kSse42:
-#if defined(CRMC_SIMD_HAS_SSE42)
-      return true;
-#else
-      return false;
-#endif
-    case Backend::kAvx2:
-#if defined(CRMC_SIMD_HAS_AVX2)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
+    return Backend::kScalar;
+  }();
+  return best;
 }
 
 std::atomic<Backend>& ActiveSlot() {
-  static std::atomic<Backend> active{DetectBackend()};
+  static std::atomic<Backend> active{BestBackend()};
   return active;
 }
 
 }  // namespace
 
 const char* ToString(Backend backend) {
-  switch (backend) {
-    case Backend::kScalar:
-      return "scalar";
-    case Backend::kSse42:
-      return "sse4.2";
-    case Backend::kAvx2:
-      return "avx2";
-  }
-  return "?";
+  return backend == Backend::kAvx2 ? "avx2" : "scalar";
 }
 
 bool BackendAvailable(Backend backend) {
-  return CompiledIn(backend) && CpuSupports(backend);
-}
-
-Backend DetectBackend() {
-  static const Backend detected = [] {
-    if (BackendAvailable(Backend::kAvx2)) return Backend::kAvx2;
-    if (BackendAvailable(Backend::kSse42)) return Backend::kSse42;
-    return Backend::kScalar;
-  }();
-  return detected;
+  return backend == Backend::kScalar || backend == BestBackend();
 }
 
 Backend ActiveBackend() {
@@ -79,14 +38,6 @@ bool SetBackend(Backend backend) {
   if (!BackendAvailable(backend)) return false;
   ActiveSlot().store(backend, std::memory_order_relaxed);
   return true;
-}
-
-std::optional<Backend> ParseBackend(std::string_view name) {
-  if (name == "scalar") return Backend::kScalar;
-  if (name == "sse4.2" || name == "sse42") return Backend::kSse42;
-  if (name == "avx2") return Backend::kAvx2;
-  if (name == "auto") return DetectBackend();
-  return std::nullopt;
 }
 
 }  // namespace crmc::simd

@@ -1,22 +1,19 @@
-// Runtime CPU dispatch for the vector kernels (src/simd/kernels.h).
+// Runtime CPU dispatch for the one vector kernel in src/simd/: CompactKeep.
 //
-// Three backends, all bit-identical: a portable scalar reference, SSE4.2,
-// and AVX2. The x86 backends are compiled into separate translation units
-// with per-file -msse4.2 / -mavx2 (only when the compiler supports the flag
-// and CRMC_SIMD is ON), and are only ever *called* after a cpuid probe says
-// the instruction set exists — so the binary runs everywhere the scalar
-// build would. The probe runs once; the active backend is process-global
-// and overridable (--simd=scalar|sse4.2|avx2|auto on the CLI, SetBackend
-// here) so the bit-exactness suite can force every backend on one machine.
+// Every other kernel has a single scalar implementation. CompactKeep also
+// has an AVX2 body, compiled with a function-level target attribute on
+// x86-64 builds and only ever *called* after a cpuid probe says the CPU has
+// AVX2, so the binary runs everywhere the scalar build would. The probe
+// runs once; the active backend is process-global. SetBackend is a test
+// seam: the bit-exactness suites and the kernel microbenchmark use it to
+// run CompactKeep both ways on one machine.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string_view>
 
 namespace crmc::simd {
 
-enum class Backend : std::uint8_t { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+enum class Backend : std::uint8_t { kScalar = 0, kAvx2 = 1 };
 
 const char* ToString(Backend backend);
 
@@ -24,18 +21,12 @@ const char* ToString(Backend backend);
 // the running CPU. kScalar is always available.
 bool BackendAvailable(Backend backend);
 
-// Best available backend for this binary/CPU (cpuid probe, memoized).
-Backend DetectBackend();
-
-// The backend the kernels currently dispatch to. Starts at DetectBackend().
+// The backend CompactKeep currently dispatches to. Starts at the best
+// available backend (cpuid probe, memoized).
 Backend ActiveBackend();
 
 // Forces dispatch to `backend`. Returns false (active backend unchanged)
 // when the backend is not available in this build or on this CPU.
 bool SetBackend(Backend backend);
-
-// "scalar" | "sse4.2" | "avx2" | "auto"; auto means DetectBackend().
-// Returns nullopt for anything else.
-std::optional<Backend> ParseBackend(std::string_view name);
 
 }  // namespace crmc::simd

@@ -1,30 +1,22 @@
-// Vector kernels for the batch engine's three dominant loops: knockout
-// Bernoulli masking, channel-choice histogramming with lone/collision
+// Batch kernels for the engines' three dominant loops: knockout Bernoulli
+// masking, channel-choice histogramming with lone/collision
 // classification, and active-set stream compaction.
 //
-// Every kernel has a scalar reference implementation and (on x86 builds)
-// SSE4.2 / AVX2 variants selected at runtime through simd::ActiveBackend()
-// (dispatch.h). All variants are bit-identical: the draw kernels consume
-// each lane's RandomSource exactly as the scalar Draw() path would — same
+// Each kernel has one scalar implementation. The draw kernels consume each
+// lane's RandomSource exactly as the scalar Draw() path would — same
 // per-lane draw count and order — so the batch engine stays draw-for-draw
-// parity-exact against the coroutine oracle under every backend.
-//
-// The draw kernels only vectorize the generator math for Philox-mode lanes
-// (support::RngKind::kPhilox), where a lane's next draws are a pure
-// function of (key, stream, draw index) and a whole SIMD group can be
-// computed with no cross-draw dependency. Xoshiro-mode lanes are sequential
-// by construction and take the scalar loop regardless of backend — the
-// kernels accept them so callers need no mode check.
+// parity-exact against the coroutine oracle. The one vector body left is
+// CompactKeep's AVX2 path (runtime-dispatched, see dispatch.h), which is
+// bit-identical to the scalar loop.
 //
 // Slot lists are just indices into the caller's RandomSource span; nothing
 // requires them to address one trial. The trial-parallel executor
-// (sim/trial_engine.h) exploits exactly this: it flattens W independent
-// trials' per-node streams into one [lane * num_active + node] plane and
-// hands the draw kernels slot lists spanning every lane, so a single
-// CoinMask/UniformFill call vectorizes Philox evaluation *across trials* —
-// the regime where per-trial batches are too short to fill vector lanes.
-// Per-slot draw order is unchanged (each slot is an independent stream),
-// so every lane stays bit-exact against a solo run of its seed.
+// (sim/trial_engine.h) flattens W independent trials' per-node streams
+// into one [lane * num_active + node] plane and hands the draw kernels slot
+// lists spanning every lane, so one CoinMask/UniformFill call serves a
+// whole lockstep batch of trials. Per-slot draw order is unchanged (each
+// slot is an independent stream), so every lane stays bit-exact against a
+// solo run of its seed.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +28,24 @@
 namespace crmc::simd {
 
 namespace internal {
+
+// Order-preserving branchless compaction of ids[read..) into ids[write..),
+// keeping ids[r] where drop[r] == 0; returns the final write cursor.
+// Requires write <= read. The scalar CompactKeep and the AVX2 body's tail
+// both run this loop.
+inline std::size_t CompactKeepFrom(std::span<std::int32_t> ids,
+                                   std::span<const std::uint8_t> drop,
+                                   std::size_t read, std::size_t write) {
+  for (; read < ids.size(); ++read) {
+    ids[write] = ids[read];
+    write += drop[read] == 0;
+  }
+  return write;
+}
+
 std::size_t CompactKeepDispatch(std::span<std::int32_t> ids,
                                 std::span<const std::uint8_t> drop);
+
 }  // namespace internal
 
 // Seeds out[k] = support::RandomSource::ForStream(master_seed,
@@ -45,8 +53,7 @@ std::size_t CompactKeepDispatch(std::span<std::int32_t> ids,
 // The engines re-derive one stream per node on every trial, which made
 // per-node stream construction a measurable slice of Monte-Carlo setup for
 // large active sets; this kernel fills the array in place (no per-stream
-// construction/copy). All backends share the scalar SplitMix64 expansion —
-// see the dispatch note in kernels.cpp for the measured reason.
+// construction/copy).
 void SeedStreams(std::uint64_t master_seed, std::uint64_t first_stream,
                  support::RngKind kind,
                  std::span<support::RandomSource> out);
@@ -72,18 +79,11 @@ void UniformFill(const support::BatchUniformInt& dist,
 // order, and returns the new length. drop.size() must equal ids.size().
 // Tiny inputs skip dispatch entirely: the endgame of every trial (and the
 // whole of two_active) compacts a handful of lanes per round, where the
-// dispatch switch itself outweighed the copy.
+// dispatch check itself outweighed the copy.
 inline std::size_t CompactKeep(std::span<std::int32_t> ids,
                                std::span<const std::uint8_t> drop) {
   CRMC_CHECK(ids.size() == drop.size());
-  if (ids.size() <= 16) {
-    std::size_t write = 0;
-    for (std::size_t read = 0; read < ids.size(); ++read) {
-      ids[write] = ids[read];
-      write += drop[read] == 0;
-    }
-    return write;
-  }
+  if (ids.size() <= 16) return internal::CompactKeepFrom(ids, drop, 0, 0);
   return internal::CompactKeepDispatch(ids, drop);
 }
 
@@ -98,10 +98,9 @@ struct Occupancy {
 // Histograms channels[0..m) into `counts` (packed 16-bit counters,
 // saturating at 2 — lone/collision classification only needs 0/1/2+) and
 // classifies each lane: lone[k] = 1 iff channels[k] had exactly one
-// transmitter. `counts` is caller-owned scratch sized >= max channel + 3
-// (two padding entries for the vector gather) and must be all-zero on
-// entry; it is sparsely re-zeroed before returning. `touched` is reusable
-// scratch for the dirty-channel list.
+// transmitter. `counts` is caller-owned scratch sized >= max channel + 1
+// and must be all-zero on entry; it is sparsely re-zeroed before
+// returning. `touched` is reusable scratch for the dirty-channel list.
 Occupancy ClassifyChannels(std::span<const std::int32_t> channels,
                            std::int32_t primary,
                            std::span<std::uint16_t> counts,

@@ -10,9 +10,7 @@
 //   - Philox4x32-10 (Salmon et al., "Parallel Random Numbers: As Easy as
 //     1, 2, 3", SC'11): a counter-based generator. Draw i of a stream is a
 //     pure function of (key, stream, i), so any lane of a batched
-//     simulation is independently reproducible and whole blocks of draws
-//     vectorize (src/simd/). The scalar path here and the SIMD kernels
-//     compute the identical block function, so they agree draw-for-draw.
+//     simulation is independently reproducible.
 //
 // RandomSource::ForStream selects the generator via RngKind; the default
 // stays xoshiro so existing seeds keep their historical bit streams.
@@ -55,13 +53,6 @@ class Xoshiro256pp {
     for (auto& s : state_) s = sm.Next();
   }
 
-  // Raw-state constructor for the simd stream-seeding kernel, which runs
-  // the SplitMix64 expansion above for several streams at once and must
-  // land on the identical state words.
-  explicit Xoshiro256pp(const std::uint64_t state[4]) {
-    for (int i = 0; i < 4; ++i) state_[i] = state[i];
-  }
-
   std::uint64_t Next() {
     const std::uint64_t result = Rotl(state_[0] + state_[3], 23) + state_[0];
     const std::uint64_t t = state_[1] << 17;
@@ -84,7 +75,7 @@ class Xoshiro256pp {
 // Which core generator a RandomSource stream runs on.
 enum class RngKind : std::uint8_t {
   kXoshiro = 0,  // sequential xoshiro256++ (historical bit streams)
-  kPhilox = 1,   // counter-based Philox4x32-10 (vectorizable)
+  kPhilox = 1,   // counter-based Philox4x32-10 (random-access draws)
 };
 
 inline const char* ToString(RngKind kind) {
@@ -100,9 +91,8 @@ inline std::optional<RngKind> ParseRngKind(std::string_view name) {
 // Philox4x32-10 block function (Salmon et al., SC'11). One block maps a
 // 128-bit counter and a 64-bit key through 10 multiply/xor rounds to four
 // statistically independent 32-bit words (Crush-resistant per the paper).
-// Everything here is constexpr-friendly pure math: the SIMD kernels
-// (src/simd/kernels_*.cpp) re-implement exactly this function 4/8 blocks at
-// a time, and tests/rng_test.cpp pins the Random123 known-answer vectors.
+// Everything here is constexpr-friendly pure math; tests/rng_test.cpp pins
+// the Random123 known-answer vectors.
 struct Philox4x32 {
   static constexpr std::uint32_t kMult0 = 0xD2511F53u;
   static constexpr std::uint32_t kMult1 = 0xCD9E8D57u;
@@ -141,8 +131,7 @@ struct Philox4x32 {
   // The two uint64 draws of block `block` of stream (key, stream): counter
   // words are (block_lo, block_hi, stream_lo, stream_hi) and key words are
   // (key_lo, key_hi). Draws 2i and 2i+1 of the stream are the [0] and [1]
-  // halves of block i — the contract RandomSource::NextU64 and every SIMD
-  // kernel share.
+  // halves of block i — the contract RandomSource::NextU64 implements.
   static constexpr void BlockU64(std::uint64_t key, std::uint64_t stream,
                                  std::uint64_t block, std::uint64_t out[2]) {
     std::uint32_t words[4] = {};
@@ -162,9 +151,7 @@ struct Philox4x32 {
 // In xoshiro mode the stream is the generator state. In philox mode the
 // stream is (key, stream id, next draw index) plus a one-block memo: the
 // memo caches the two draws of one block keyed by block index, so it can
-// never go stale — block values are pure functions of (key, stream, block),
-// and a SIMD kernel that advances draw_index out-of-line leaves any cached
-// block just as valid as before.
+// never go stale — block values are pure functions of (key, stream, block).
 class RandomSource {
  public:
   // Unseeded placeholder (xoshiro mode, all-zero state). Exists so scratch
@@ -186,21 +173,6 @@ class RandomSource {
     RandomSource rs;
     rs.kind_ = RngKind::kPhilox;
     rs.philox_key_ = sm.Next();
-    rs.philox_stream_ = stream;
-    return rs;
-  }
-
-  // Raw-state factories for the simd stream-seeding kernel (bit-exact with
-  // ForStream given the same expansion; see simd/kernels.h).
-  static RandomSource FromXoshiroState(const std::uint64_t state[4]) {
-    RandomSource rs;
-    rs.gen_ = Xoshiro256pp(state);
-    return rs;
-  }
-  static RandomSource FromPhiloxKey(std::uint64_t key, std::uint64_t stream) {
-    RandomSource rs;
-    rs.kind_ = RngKind::kPhilox;
-    rs.philox_key_ = key;
     rs.philox_stream_ = stream;
     return rs;
   }
@@ -246,14 +218,10 @@ class RandomSource {
     return UniformDouble() < p;
   }
 
-  // ---- Philox state, exposed for the SIMD kernels (src/simd/). ----
-  RngKind kind() const { return kind_; }
+  // ---- Philox state, read by the counter-contract tests. ----
   std::uint64_t philox_key() const { return philox_key_; }
   std::uint64_t philox_stream() const { return philox_stream_; }
   std::uint64_t philox_draws() const { return philox_draws_; }
-  // A kernel that generated this stream's next `n` draws out-of-line
-  // advances the counter here; the block memo stays valid (see above).
-  void SkipPhiloxDraws(std::uint64_t n) { philox_draws_ += n; }
 
  private:
   Xoshiro256pp gen_;
@@ -296,8 +264,7 @@ class BatchUniformInt {
     return lo_ + static_cast<std::int64_t>(m >> 64);
   }
 
-  // Parameters, exposed for the SIMD kernels (which must replicate the
-  // rejection test bit-for-bit).
+  // Parameters, exposed for the batch kernels (src/simd/).
   std::int64_t lo() const { return lo_; }
   std::uint64_t range() const { return range_; }
   std::uint64_t threshold() const { return threshold_; }
@@ -336,7 +303,7 @@ class BatchBernoulli {
     return (rs.NextU64() >> 11) < threshold_;
   }
 
-  // Parameters, exposed for the SIMD kernels. fixed() in {-1, 0, 1}: -1
+  // Parameters, exposed for the batch kernels. fixed() in {-1, 0, 1}: -1
   // samples one draw, 0/1 are constant outcomes that consume no draw.
   int fixed() const { return fixed_; }
   std::uint64_t threshold() const { return threshold_; }

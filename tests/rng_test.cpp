@@ -65,8 +65,7 @@ TEST(Philox, BlockU64PacksWordPairs) {
 
 TEST(Philox, CounterBasedDrawsAreRandomAccess) {
   // Draw i of a philox stream is a pure function of (key, stream, i):
-  // sequential NextU64 calls must reproduce BlockU64 halves, and
-  // SkipPhiloxDraws must land on the same values a sequential reader sees.
+  // sequential NextU64 calls must reproduce BlockU64 halves.
   RandomSource seq = RandomSource::ForStream(0x5eedULL, 7, RngKind::kPhilox);
   std::vector<std::uint64_t> draws;
   for (int i = 0; i < 64; ++i) draws.push_back(seq.NextU64());
@@ -77,22 +76,11 @@ TEST(Philox, CounterBasedDrawsAreRandomAccess) {
                          static_cast<std::uint64_t>(i) >> 1, block);
     EXPECT_EQ(draws[static_cast<std::size_t>(i)], block[i & 1]) << "draw " << i;
   }
-
-  RandomSource skip = RandomSource::ForStream(0x5eedULL, 7, RngKind::kPhilox);
-  skip.SkipPhiloxDraws(37);
-  EXPECT_EQ(skip.NextU64(), draws[37]);
-  EXPECT_EQ(skip.NextU64(), draws[38]);
-}
-
-TEST(Philox, ForStreamMatchesRawKeyFactory) {
-  RandomSource a = RandomSource::ForStream(0xabcdefULL, 11, RngKind::kPhilox);
-  RandomSource b = RandomSource::FromPhiloxKey(a.philox_key(), 11);
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());
 }
 
 // ---------------------------------------------------------------------------
 // Batch samplers: bit parity with the scalar RandomSource calls under both
-// generator kinds (the contract every SIMD kernel inherits).
+// generator kinds (the contract every simd:: kernel inherits).
 // ---------------------------------------------------------------------------
 
 TEST(BatchSamplers, UniformIntMatchesScalarBothKinds) {

@@ -1,8 +1,8 @@
-// Scalar-vs-vector bit-exactness for the simd kernel layer: every kernel
-// must produce identical outputs AND leave identical per-lane RNG state
-// under every backend available on this binary+CPU. Backends are forced
-// via simd::SetBackend, so on an AVX2 host a single run covers scalar,
-// SSE4.2, and AVX2.
+// Bit-exactness for the simd kernel layer: every kernel must match an
+// independent reference loop in its outputs AND leave identical per-lane
+// RNG state, under every backend available on this binary+CPU. Backends are
+// forced via simd::SetBackend, so on an AVX2 host a single run covers
+// CompactKeep's scalar and AVX2 bodies.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -24,7 +24,7 @@ using support::RngKind;
 
 std::vector<Backend> AvailableBackends() {
   std::vector<Backend> out;
-  for (const Backend b : {Backend::kScalar, Backend::kSse42, Backend::kAvx2}) {
+  for (const Backend b : {Backend::kScalar, Backend::kAvx2}) {
     if (BackendAvailable(b)) out.push_back(b);
   }
   return out;
@@ -66,7 +66,7 @@ void ExpectSameLaneState(std::vector<RandomSource>& a,
 }
 
 TEST(SeedStreams, MatchesForStreamEveryBackendBothKinds) {
-  const std::size_t kLanes = 133;  // odd size: exercises the vector tail
+  const std::size_t kLanes = 133;
   for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
     for (const Backend backend : AvailableBackends()) {
       ScopedBackend forced(backend);
@@ -125,7 +125,7 @@ TEST(UniformFill, BitExactAcrossBackends) {
   std::iota(alive.begin(), alive.end(), 0);
   for (const RngKind kind : {RngKind::kXoshiro, RngKind::kPhilox}) {
     // 1..64 is the power-of-two channel pick; 1..37 forces Lemire
-    // rejection on some lanes, which is where a vector epilogue bug hides.
+    // rejection on some lanes.
     const std::vector<std::pair<std::int64_t, std::int64_t>> ranges = {
         {1, 64}, {1, 37}, {0, 2}};
     for (const auto& [lo, hi] : ranges) {
@@ -236,8 +236,9 @@ TEST(ClassifyChannels, MatchesScalarReferenceAcrossBackends) {
           hist[static_cast<std::size_t>(primary)] == 1;
       for (const Backend backend : AvailableBackends()) {
         ScopedBackend forced(backend);
+        // The contract's minimum size: max channel + 1.
         std::vector<std::uint16_t> counts(
-            static_cast<std::size_t>(kChannels) + 3, 0);
+            static_cast<std::size_t>(kChannels) + 1, 0);
         std::vector<std::int32_t> touched;
         std::vector<std::uint8_t> lone(n, 0xcc);
         const Occupancy occ =
@@ -258,17 +259,21 @@ TEST(ClassifyChannels, MatchesScalarReferenceAcrossBackends) {
   }
 }
 
-TEST(Dispatch, ParseAndAvailability) {
-  EXPECT_EQ(ParseBackend("scalar"), Backend::kScalar);
-  EXPECT_EQ(ParseBackend("sse4.2"), Backend::kSse42);
-  EXPECT_EQ(ParseBackend("sse42"), Backend::kSse42);
-  EXPECT_EQ(ParseBackend("avx2"), Backend::kAvx2);
-  EXPECT_EQ(ParseBackend("auto"), DetectBackend());
-  EXPECT_FALSE(ParseBackend("mmx").has_value());
-  // Scalar is always compiled and always runnable.
+// A build or probe regression that silently dropped CompactKeep to scalar
+// would leave every result identical and show only as lost speed, so the
+// dispatch start state is pinned here.
+TEST(Dispatch, StartsAtAvx2WhenTheCpuHasIt) {
   EXPECT_TRUE(BackendAvailable(Backend::kScalar));
-  // The memoized auto choice must itself be available.
-  EXPECT_TRUE(BackendAvailable(DetectBackend()));
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx2")) {
+    EXPECT_TRUE(BackendAvailable(Backend::kAvx2));
+    EXPECT_EQ(ActiveBackend(), Backend::kAvx2);
+    return;
+  }
+#endif
+  EXPECT_FALSE(BackendAvailable(Backend::kAvx2));
+  EXPECT_FALSE(SetBackend(Backend::kAvx2));
+  EXPECT_EQ(ActiveBackend(), Backend::kScalar);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // per-trial BatchEngine and the coroutine oracle.
 //
 // The executor's contract is bit-exactness per trial: running W seeds as
-// lockstep SIMD lanes must reproduce every per-trial result field exactly,
-// for every lane width, SIMD backend, and (lane-fusible or fallback)
+// lockstep lanes must reproduce every per-trial result field exactly, for
+// every lane width, CompactKeep backend, and (lane-fusible or fallback)
 // config. The sweeps below cover 2000+ seeds on the headline two_active
 // shape plus the duel, channel-cap, run-to-completion, timeout and
 // instrumentation variants, the per-lane fallback for faults / adversaries
@@ -109,8 +109,9 @@ void CheckTrialParity(EngineConfig config, const ProtocolFactory& coroutine,
   }
 }
 
-// CheckTrialParity swept over every compiled SIMD backend — the acceptance
-// bar for a new trial-program twin is 2000+ bit-exact seeds per backend.
+// CheckTrialParity swept over every available CompactKeep backend — the
+// acceptance bar for a new trial-program twin is 2000+ bit-exact seeds per
+// backend.
 void CheckTrialParityAllBackends(const EngineConfig& config,
                                  const ProtocolFactory& coroutine,
                                  StepProgram& program, int seeds,
@@ -118,7 +119,7 @@ void CheckTrialParityAllBackends(const EngineConfig& config,
                                  std::int32_t lane_width = 32) {
   const simd::Backend original = simd::ActiveBackend();
   for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2}) {
+       {simd::Backend::kScalar, simd::Backend::kAvx2}) {
     if (!simd::BackendAvailable(backend)) continue;
     SCOPED_TRACE(simd::ToString(backend));
     simd::SetBackend(backend);
@@ -241,7 +242,7 @@ TEST(TrialEngineParity, LaneWidthInvisible) {
   }
 }
 
-// All compiled SIMD backends must produce the same lanes bit-exactly (the
+// All available backends must produce the same lanes bit-exactly (the
 // sanitizer tier runs this suite too, giving every backend a sanitized
 // trial-executor pass).
 TEST(TrialEngineParity, AllBackendsBitExact) {
@@ -252,7 +253,7 @@ TEST(TrialEngineParity, AllBackendsBitExact) {
   auto program = MakeTwoActiveProgram();
   const simd::Backend original = simd::ActiveBackend();
   for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2}) {
+       {simd::Backend::kScalar, simd::Backend::kAvx2}) {
     if (!simd::BackendAvailable(backend)) continue;
     SCOPED_TRACE(simd::ToString(backend));
     simd::SetBackend(backend);
@@ -265,7 +266,7 @@ TEST(TrialEngineParity, AllBackendsBitExact) {
 // ---------------------------------------------------------------------------
 // Family twins (full trial-parallel coverage): every protocol of the
 // composed general algorithm — Reduce, IDReduction, LeafElection, the CD
-// knockout, and general itself — runs 2000+ seeds per compiled SIMD
+// knockout, and general itself — runs 2000+ seeds per available
 // backend, bit-exact against the per-trial BatchEngine and the coroutine
 // oracle. Configs mirror the per-trial parity suite
 // (tests/batch_engine_test.cpp) so the three-engine agreement covers the
@@ -389,7 +390,7 @@ void CheckLeafElectionTrialParity(bool force_binary) {
   constexpr std::int32_t kNumLeaves = 16;
   const simd::Backend original = simd::ActiveBackend();
   for (const simd::Backend backend :
-       {simd::Backend::kScalar, simd::Backend::kSse42, simd::Backend::kAvx2}) {
+       {simd::Backend::kScalar, simd::Backend::kAvx2}) {
     if (!simd::BackendAvailable(backend)) continue;
     SCOPED_TRACE(simd::ToString(backend));
     simd::SetBackend(backend);

@@ -41,7 +41,6 @@
 #include "robust/robust.h"
 #include "sim/engine.h"
 #include "sim/trace.h"
-#include "simd/dispatch.h"
 #include "support/rng.h"
 #include "traffic/traffic.h"
 
@@ -62,12 +61,8 @@ using namespace crmc;
       "  traffic   streaming workload: dynamic arrivals feed per-station\n"
       "            packet queues; each backlog burst runs the protocol as\n"
       "            one contention episode (throughput/latency/fairness)\n"
-      "  simd      kernel backends: compiled/available/active\n"
-      "            (--require-vector exits 1 unless a vector backend is\n"
-      "            active — the perf tier's dispatch canary)\n"
       "  list      registered algorithms\n"
       "common flags: --active N  --population N  --channels C  --seed S\n"
-      "              --simd scalar|sse4.2|avx2|auto (force kernel backend)\n"
       "run flags:    --algo NAME  --cd strong|receiver|none  --trace\n"
       "              --run-to-completion  --rng xoshiro|philox\n"
       "              --jam-rate P --erasure-rate P --flaky-cd P\n"
@@ -127,7 +122,7 @@ using namespace crmc;
       "              --no-fused forces the generic materialized round path\n"
       "              (disables StepProgram::FastRound; bit-exact, for\n"
       "              debugging the fused fast rounds without a rebuild)\n"
-      "              --lanes W runs W trials per SIMD lockstep chunk on\n"
+      "              --lanes W runs W trials per lockstep chunk on\n"
       "              the trial-parallel executor (requires --rng philox;\n"
       "              statistics are identical for every W)\n";
   std::exit(2);
@@ -191,20 +186,6 @@ support::RngKind ParseRng(const std::string& name) {
   const std::optional<support::RngKind> kind = support::ParseRngKind(name);
   if (!kind) Usage("unknown rng '" + name + "' (xoshiro|philox)");
   return *kind;
-}
-
-// Global --simd flag: force the kernel dispatch backend before any trial
-// runs. "auto" re-probes the CPU; anything unavailable is a hard error so
-// a script asking for avx2 never silently measures scalar.
-void ApplySimdFlag(const harness::Flags& flags) {
-  const std::optional<std::string> name = flags.GetString("simd");
-  if (!name) return;
-  const std::optional<simd::Backend> backend = simd::ParseBackend(*name);
-  if (!backend) Usage("unknown simd backend '" + *name + "'");
-  if (!simd::SetBackend(*backend)) {
-    Usage("simd backend '" + *name +
-          "' is not available in this build/CPU");
-  }
 }
 
 // Shared oblivious-fault flag block (run/traffic). FaultSpec::Validate does
@@ -697,41 +678,6 @@ int CmdTraffic(const harness::Flags& flags) {
   return 0;
 }
 
-int CmdSimd(const harness::Flags& flags) {
-  const bool require_vector = flags.GetBoolOr("require-vector", false);
-  RejectUnknownFlags(flags);
-  harness::Table table({"backend", "compiled", "available", "active"});
-  const simd::Backend active = simd::ActiveBackend();
-  const struct {
-    simd::Backend backend;
-    bool compiled;
-  } rows[] = {
-      {simd::Backend::kScalar, true},
-#if defined(CRMC_SIMD_HAS_SSE42)
-      {simd::Backend::kSse42, true},
-#else
-      {simd::Backend::kSse42, false},
-#endif
-#if defined(CRMC_SIMD_HAS_AVX2)
-      {simd::Backend::kAvx2, true},
-#else
-      {simd::Backend::kAvx2, false},
-#endif
-  };
-  for (const auto& row : rows) {
-    table.Row().Cells(simd::ToString(row.backend),
-                      row.compiled ? "yes" : "no",
-                      simd::BackendAvailable(row.backend) ? "yes" : "no",
-                      row.backend == active ? "yes" : "no");
-  }
-  table.Print(std::cout);
-  if (require_vector && active == simd::Backend::kScalar) {
-    std::cerr << "error: --require-vector, but dispatch is scalar\n";
-    return 1;
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -739,7 +685,6 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const harness::Flags flags = harness::Flags::Parse(argc - 1, argv + 1);
   try {
-    ApplySimdFlag(flags);
     if (command == "list") return CmdList();
     if (command == "run") return CmdRun(flags);
     if (command == "race") return CmdRace(flags);
@@ -747,7 +692,6 @@ int main(int argc, char** argv) {
     if (command == "estimate") return CmdEstimate(flags);
     if (command == "drain") return CmdDrain(flags);
     if (command == "traffic") return CmdTraffic(flags);
-    if (command == "simd") return CmdSimd(flags);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 1;
