@@ -22,16 +22,16 @@
 //                    `--lanes W` sets the trial-parallel lane width.
 //
 // v3 added a `trial` block to every grid point whose protocol ships a
-// trial-parallel twin (sim::TrialBatchEngine): the per-trial batch path and
+// trial-parallel twin (sim::TrialBatchEngine; two_active is the only one
+// left, so only its points carry the block): the per-trial batch path and
 // the trial-parallel executor timed over the SAME seeds, both under philox
 // (the executor's required generator), so the executor comparison is at
 // equal RNG and isolates the lanes-across-trials win. The top-level
 // engines.{coroutine,batch} block keeps the --rng generator (default
 // xoshiro) so v1/v2 baselines stay directly comparable.
 //
-// v4 extends the grid with small-active points for every newly-twinned
-// protocol (reduce, id_reduction, leaf_election, knockout_cd, general) —
-// the shapes where lanes-across-trials pays — and adds a top-level
+// v4 extends the grid with small-active points for reduce, id_reduction,
+// leaf_election, knockout_cd and general, and adds a top-level
 // `sweep_throughput` block: a whole grid of small sweep points timed twice,
 // once with the legacy per-call spawn executor (harness::RunTrialsSpawn)
 // and once enqueued on a persistent work-stealing pool
@@ -94,9 +94,10 @@ struct GridPoint {
 // The grid spans small/medium/large populations and channel counts for the
 // protocols with columnar twins. The (general, 65536, 1024, 64) point is the
 // acceptance benchmark quoted in docs/MODEL.md. The v4 small-active points
-// (num_active <= 16) cover every trial-parallel twin on the shapes where
-// lanes-across-trials pays — these are the points
-// tools/check_bench_json.py gates with --trial-speedup-floors.
+// (num_active <= 16) time the per-trial batch path of every family protocol
+// at the shapes where a lockstep twin would have to pay; the two_active
+// points are the ones tools/check_bench_json.py gates with
+// --min-trial-speedup.
 const GridPoint kGrid[] = {
     {"two_active", 1 << 16, 2, 64, 3000},
     {"two_active", 1 << 20, 2, 1024, 2000},

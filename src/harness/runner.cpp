@@ -28,7 +28,13 @@ TrialJobPlan PlanTrialJob(const TrialSpec& spec,
   // trials and run them as one lockstep chunk. Block boundaries only group
   // work — every trial's result is a pure function of its per-trial config,
   // so statistics are bit-identical across any threads x lane-width split.
-  plan.lanes = plan.batch && spec.lane_width > 1;
+  // Only a protocol with a trial-program twin takes the lane path; any other
+  // lane_width > 1 request runs per trial, whatever the rng.
+  if (plan.batch && spec.lane_width > 1) {
+    const std::unique_ptr<sim::StepProgram> probe = protocol.step_program();
+    plan.lanes = probe->MakeTrialProgram() != nullptr;
+    plan.program_name = probe->name();
+  }
   plan.stride = plan.lanes ? spec.lane_width : 1;
   return plan;
 }
@@ -153,8 +159,9 @@ void ValidateTrialArgs(const TrialSpec& spec, const ProtocolHandle& protocol,
 // The trial engine itself rejects xoshiro (its streams are sequential by
 // construction); surface that before any worker thread runs so the error
 // arrives as an exception on the calling thread, not a terminate inside a
-// pool worker. Only the lane path cares: --lanes on a coroutine-only or
-// per-trial run is legal (it just buys nothing — see the stderr notice).
+// pool worker. Only the lane path cares: --lanes on a coroutine-only run or
+// a protocol without a twin is legal (it just buys nothing — see the stderr
+// notice).
 void ValidatePlan(const TrialSpec& spec, const internal::TrialJobPlan& plan) {
   if (plan.lanes && spec.rng != support::RngKind::kPhilox) {
     throw std::invalid_argument(
@@ -164,20 +171,16 @@ void ValidatePlan(const TrialSpec& spec, const internal::TrialJobPlan& plan) {
   }
 }
 
-// A lane_width > 1 request falls back per trial whenever the protocol lacks
-// a trial-program twin (no step program at all, or MakeTrialProgram returns
-// nullptr). That is correct but silently buys nothing, so say so — once per
-// protocol per process, not per grid point, so a sweep stays readable.
+// A lane_width > 1 request runs per trial whenever the protocol lacks a
+// trial-program twin (no step program at all, or PlanTrialJob's probe found
+// MakeTrialProgram returning nullptr). That is correct but silently buys
+// nothing, so say so — once per protocol per process, not per grid point,
+// so a sweep stays readable.
 void MaybeWarnLaneFallback(const TrialSpec& spec,
-                           const ProtocolHandle& protocol,
                            const internal::TrialJobPlan& plan) {
-  if (spec.lane_width <= 1) return;
-  std::unique_ptr<sim::StepProgram> probe;
-  if (plan.batch) probe = protocol.step_program();
-  const bool twin = probe != nullptr && probe->MakeTrialProgram() != nullptr;
-  if (twin) return;
+  if (spec.lane_width <= 1 || plan.lanes) return;
   const std::string label =
-      probe ? std::string(probe->name()) : std::string("this protocol");
+      plan.batch ? plan.program_name : std::string("this protocol");
   // Pre-format off-lock, then dedup-check and emit as one write *under* the
   // lock: releasing it between the insert and the stream (the historical
   // shape) let two threads first-warning different protocols interleave
@@ -213,7 +216,7 @@ TrialSetResult RunTrials(const TrialSpec& spec, const ProtocolHandle& protocol,
   const internal::TrialJobPlan plan =
       internal::PlanTrialJob(spec, protocol, keep_runs);
   ValidatePlan(spec, plan);
-  MaybeWarnLaneFallback(spec, protocol, plan);
+  MaybeWarnLaneFallback(spec, plan);
   threads = ResolveThreads(threads, trials);
 
   if (threads == 1) {
@@ -245,7 +248,7 @@ TrialSetResult RunTrialsSpawn(const TrialSpec& spec,
   const internal::TrialJobPlan plan =
       internal::PlanTrialJob(spec, protocol, keep_runs);
   ValidatePlan(spec, plan);
-  MaybeWarnLaneFallback(spec, protocol, plan);
+  MaybeWarnLaneFallback(spec, plan);
   threads = ResolveThreads(threads, trials);
 
   std::vector<sim::RunResult> runs(static_cast<std::size_t>(trials));

@@ -31,10 +31,12 @@ struct TrialSpec {
   // Trials per lockstep chunk of the trial-parallel executor
   // (sim/trial_engine.h). 1 (the default) keeps the per-trial batch path;
   // > 1 makes each worker claim blocks of this many consecutive trials and
-  // run them as lockstep lanes — requires rng == kPhilox (the executor
-  // rejects xoshiro) and a step program. Results are bit-identical to lane width 1
-  // for any width and thread count: every trial is a pure function of its
-  // per-trial config, so sharding changes nothing but wall-clock.
+  // run them as lockstep lanes when the protocol has a trial-program twin
+  // (two_active only), which requires rng == kPhilox (the executor rejects
+  // xoshiro); any other protocol runs per trial. Results are bit-identical
+  // to lane width 1 for any width and thread count: every trial is a pure
+  // function of its per-trial config, so sharding changes nothing but
+  // wall-clock.
   std::int32_t lane_width = 1;
   // Opt-out for fused fast rounds (BatchEngine::set_fused_rounds, and the
   // trial executor's lane rounds): when false every trial runs the generic
@@ -124,10 +126,12 @@ struct TrialSetResult {
   // All zero when lane_width == 1 or the protocol ran per trial throughout.
   // Widest lockstep lane chunk any trial ran in (RunResult::trial_lanes).
   std::int32_t trial_lanes_peak = 0;
-  // Trials that entered the lane path and were re-run per trial (twin-less
-  // program, TrialProgram Reset declined the shape, or the lane diverged
-  // mid-run). Statistics are bit-exact either way; a high count means the
-  // requested lane width bought little.
+  // Trials that entered the lane path and were re-run per trial (faults,
+  // an adversary, the robust layer or weak CD, which lanes do not model;
+  // TrialProgram Reset declined the shape; or the lane diverged mid-run).
+  // A protocol without a twin never enters the lane path. Statistics are
+  // bit-exact either way; a high count means the requested lane width
+  // bought little.
   std::int64_t trial_fallbacks = 0;
   // Rounds executed on a fused fast path, summed over every trial
   // (RunResult::fused_rounds: BatchEngine FastRound + lockstep lane
@@ -155,9 +159,11 @@ struct TrialSetResult {
 // split and across executors.
 //
 // Throws std::invalid_argument when spec.lane_width < 1 (the CLI's --lanes
-// contract); a lane_width > 1 request for a protocol with no trial-program
-// twin runs fine on the per-trial path but prints a one-line stderr notice,
-// since the flag silently buying nothing is the harder bug to spot.
+// contract) and when a lane_width > 1 request for a protocol with a
+// trial-program twin runs under xoshiro; a lane_width > 1 request for a
+// protocol with no twin runs fine on the per-trial path under either rng
+// but prints a one-line stderr notice, since the flag silently buying
+// nothing is the harder bug to spot.
 TrialSetResult RunTrials(const TrialSpec& spec, const ProtocolHandle& protocol,
                          std::int32_t trials, bool keep_runs = false,
                          std::int32_t threads = 0);

@@ -13,6 +13,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "harness/runner.h"
@@ -26,6 +27,9 @@ struct TrialJobPlan {
   bool batch = false;  // step-program engines (batch or trial-parallel)
   bool lanes = false;  // trial-parallel executor with lane_width chunks
   std::int32_t stride = 1;  // chunk size workers claim (lane_width if lanes)
+  // name() of the step program PlanTrialJob probed for a trial-program twin
+  // (batch runs with lane_width > 1 only; empty otherwise).
+  std::string program_name;
 };
 
 TrialJobPlan PlanTrialJob(const TrialSpec& spec,

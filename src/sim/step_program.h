@@ -38,9 +38,10 @@ using NodeId = std::int32_t;
 // Read-only model parameters plus the engine-owned per-node columns a
 // program may use. Spans stay valid for the duration of one BatchEngine
 // run; `rng[slot]` is the same stream the coroutine engine hands node
-// `slot` (ForStream(seed, slot + 1)). Step programs and lane twins are
-// anonymous: there is no ID column, and a protocol that reads
-// NodeContext::unique_id() must stay coroutine-only.
+// `slot` (ForStream(seed, slot + 1)). A lane twin (TrialProgram, below)
+// reads the same struct over a flat [lane][node] plane. Step programs and
+// lane twins are anonymous: there is no ID column, and a protocol that
+// reads NodeContext::unique_id() must stay coroutine-only.
 struct BatchContext {
   std::int64_t population = 0;
   std::int32_t num_active = 0;
@@ -61,31 +62,28 @@ struct FastRoundEffects {
 // Trial-parallel execution (sim/trial_engine.h): lanes are whole trials.
 //
 // Within one trial a round has only as many draws as alive nodes, which in
-// the small-|A| regimes the paper cares about (two_active is |A|=2) leaves
-// per-call overhead dominating the kernels. With counter-based Philox
-// streams, draw i of stream s is a pure function of (key, s, i), so W
-// *independent trials* can instead run in lockstep: per-(lane, node)
-// streams live in one flat [lane * num_active + node] plane and each
-// round's draws are gathered into slot lists spanning all lanes, which the
-// existing simd:: kernels then evaluate in one call. The lane gain comes
-// from this lockstep batching across trials, not from vector math. A
-// TrialProgram is the protocol's lane-parallel twin: it owns [lane][node]
-// state planes and executes one lockstep round for every live lane per
-// call.
-
-// Read-only parameters plus the engine-owned flat planes for one
-// trial-parallel run. `rng[lane * num_active + node]` is the stream the
-// coroutine engine hands node `node` of the trial seeded seeds[lane]
-// (ForStream(seed, node + 1)). Spans stay valid for one TrialBatchEngine
-// chunk. Lane twins are anonymous like step programs (see BatchContext):
-// there is no ID plane.
-struct TrialContext {
-  std::int64_t population = 0;
-  std::int32_t num_active = 0;
-  std::int32_t channels = 1;
-  std::int64_t round = 0;  // 0-based lockstep round being executed
-  std::span<support::RandomSource> rng;
-};
+// the paper's |A| = 2 regime (two_active: one rename draw per node, then a
+// deterministic SplitCheck search) leaves per-call overhead dominating the
+// kernels. With counter-based Philox streams, draw i of stream s is a pure
+// function of (key, s, i), so W *independent trials* can instead run in
+// lockstep: per-(lane, node) streams live in one flat
+// [lane * num_active + node] plane and each round's draws are gathered into
+// slot lists spanning all lanes, which the existing simd:: kernels then
+// evaluate in one call. The lane gain comes from this lockstep batching
+// across trials, not from vector math. A TrialProgram is the protocol's
+// lane-parallel twin: it owns [lane][node] state planes and executes one
+// lockstep round for every live lane per call.
+//
+// Only two_active has a twin. Lockstep lanes pay only where a trial is a
+// handful of draws; for the knockout, Reduce, IDReduction, LeafElection and
+// the composed general program the per-trial paths were as fast or faster,
+// so those protocols run every trial on the per-trial fallback.
+//
+// A twin reads the same BatchContext a step program does, except that
+// `rng` is the flat plane: `rng[lane * num_active + node]` is the stream
+// the coroutine engine hands node `node` of the trial seeded seeds[lane]
+// (ForStream(seed, node + 1)), valid for one TrialBatchEngine chunk, and
+// `round` is the 0-based lockstep round.
 
 // What one lockstep round did to one lane — FastRoundEffects plus the
 // lane-lifecycle bits the trial engine needs for retirement.
@@ -93,15 +91,9 @@ struct LaneEffects {
   std::int64_t transmissions = 0;
   std::int64_t lone_deliveries = 0;
   bool primary_lone_delivered = false;
-  // Every node of the lane terminated this round (a program whose nodes
-  // retire gradually keeps per-lane alive counts internally and sets this
-  // on the last node).
+  // Every node of the lane terminated this round. Lanes finish
+  // all-or-nothing: no node of a live lane retires on its own.
   bool finished = false;
-  // At least one lane member terminated this round while the lane lives
-  // on (gradual retirement: a knockout's silent listeners, IDReduction's
-  // unrenamed losers, election departures). Counts as progress for the
-  // stall streak, mirroring the per-trial engines' `write < m` rule.
-  bool nodes_retired = false;
   // The lane left the lockstep-representable state set. The trial engine
   // retires it and re-runs that seed from scratch on the per-trial batch
   // path (with freshly seeded streams, so partial draw consumption in the
@@ -113,7 +105,7 @@ struct LaneEffects {
 
 // One protocol over [lane][node] state planes, executing W independent
 // trials in lockstep. Instances come from StepProgram::MakeTrialProgram and
-// are reusable (Reset) but not thread-safe, like their per-trial twins.
+// are reusable (Reset) but not thread-safe, like step programs.
 //
 // Draw-order contract: within each lane, the per-node streams are consumed
 // exactly as the per-trial FastRound/EmitActions path would consume them —
@@ -131,13 +123,13 @@ class TrialProgram {
   // is outside the program's lockstep-representable set (e.g. two_active
   // with num_active != 2 outside duel mode); the engine then runs every
   // trial on the per-trial fallback path instead.
-  virtual bool Reset(const TrialContext& ctx, std::int32_t lanes) = 0;
+  virtual bool Reset(const BatchContext& ctx, std::int32_t lanes) = 0;
 
   // Executes one lockstep round for every lane in `lanes` (live lane
   // indices, ascending). Writes effects[k] for lane lanes[k] (`effects`
   // arrives zeroed) and charges transmissions into the flat
   // node_tx[lane * num_active + node] plane.
-  virtual void Round(const TrialContext& ctx,
+  virtual void Round(const BatchContext& ctx,
                      std::span<const std::int32_t> lanes,
                      std::span<std::int64_t> node_tx,
                      std::span<LaneEffects> effects) = 0;
@@ -225,9 +217,10 @@ class StepProgram {
   }
 
   // Returns the protocol's trial-parallel twin (a fresh instance carrying
-  // the same parameters), or nullptr when the protocol has none — the
-  // trial engine (sim/trial_engine.h) then falls back to per-trial
-  // BatchEngine runs, which stay bit-exact by construction.
+  // the same parameters), or nullptr when the protocol has none (every
+  // program but two_active) — the trial engine (sim/trial_engine.h) then
+  // falls back to per-trial BatchEngine runs, which stay bit-exact by
+  // construction.
   virtual std::unique_ptr<TrialProgram> MakeTrialProgram() const {
     return nullptr;
   }

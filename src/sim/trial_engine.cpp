@@ -95,7 +95,7 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
   const auto n = static_cast<std::size_t>(config.num_active);
   const auto w = seeds.size();
 
-  TrialContext ctx;
+  BatchContext ctx;
   ctx.population = population;
   ctx.num_active = config.num_active;
   ctx.channels = config.channels;
@@ -181,10 +181,10 @@ void TrialBatchEngine::RunLaneChunk(const EngineConfig& config,
         stall_[static_cast<std::size_t>(lane)] = 0;
         finalize(lane, round + 1, /*terminated=*/true, /*timed_out=*/false);
       } else {
-        stall_[static_cast<std::size_t>(lane)] =
-            fx.lone_deliveries > 0 || fx.nodes_retired
-                ? 0
-                : stall_[static_cast<std::size_t>(lane)] + 1;
+        // A live lane retires no node (lanes finish all-or-nothing), so
+        // the per-trial `write < m` progress rule never fires here.
+        std::int64_t& stall = stall_[static_cast<std::size_t>(lane)];
+        stall = fx.lone_deliveries > 0 ? 0 : stall + 1;
       }
     }
     live_.resize(simd::CompactKeep(live_, drop_));

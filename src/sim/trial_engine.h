@@ -5,10 +5,11 @@
 // [lane * num_active + node] planes, and each round's draws across every
 // lane are gathered into slot lists and evaluated by one simd:: kernel
 // call (see TrialProgram in sim/step_program.h). Within a trial a round
-// only has as many draws as alive nodes, which in the paper's small-|A|
-// regimes (two_active is |A| = 2) leaves per-call and per-trial setup
-// costs dominating; batching across trials amortizes them over arbitrarily
-// many independent lanes.
+// only has as many draws as alive nodes, which in the paper's |A| = 2
+// regime (two_active) leaves per-call and per-trial setup costs
+// dominating; batching across trials amortizes them over arbitrarily many
+// independent lanes. two_active is the only protocol with a trial program:
+// every other protocol runs each trial on the per-trial fallback below.
 //
 // Philox-only: lockstep lanes are defined on counter-based streams, where
 // draw i of stream s is a pure function of (key, s, i). Xoshiro streams are

@@ -240,6 +240,29 @@ TEST(SweepExecutor, RejectsXoshiroLanesOnCallingThread) {
   }
 }
 
+// A protocol without a trial-program twin takes the per-trial path at any
+// lane width, so --lanes is legal there under xoshiro: the statistics match
+// lane width 1 bit for bit, and the notice names the protocol once.
+TEST(SweepExecutor, TwinlessLanesRunPerTrialUnderXoshiro) {
+  TrialSpec spec;
+  spec.population = 1024;
+  spec.num_active = 8;
+  spec.channels = 32;
+  spec.rng = support::RngKind::kXoshiro;
+  const ProtocolHandle handle = HandleFor(AlgorithmByName("general"));
+  const TrialSetResult want = RunTrials(spec, handle, 40, false, 1);
+  spec.lane_width = 8;
+  ::testing::internal::CaptureStderr();
+  const TrialSetResult inline_run = RunTrials(spec, handle, 40, false, 1);
+  const TrialSetResult pooled = RunTrials(spec, handle, 40, false, 3);
+  const std::string notice = ::testing::internal::GetCapturedStderr();
+  ExpectSameTrialSet(want, inline_run, "lanes-inline");
+  ExpectSameTrialSet(want, pooled, "lanes-pool");
+  EXPECT_EQ(notice,
+            "note: --lanes 8 requested but general has no trial-parallel "
+            "twin; trials run on the per-trial path\n");
+}
+
 TEST(SweepExecutor, WorkerExceptionsSurfaceFromWait) {
   // A config the engines reject (num_active == 0) reaches the workers; the
   // pool must stay alive and rethrow on the waiting thread.

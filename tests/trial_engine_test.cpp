@@ -4,14 +4,17 @@
 // The executor's contract is bit-exactness per trial: running W seeds as
 // lockstep lanes must reproduce every per-trial result field exactly, for
 // every lane width, CompactKeep backend, and (lane-fusible or fallback)
-// config. The sweeps below cover 2000+ seeds on the headline two_active
-// shape plus the duel, channel-cap, run-to-completion, timeout and
-// instrumentation variants, the per-lane fallback for faults / adversaries
-// / protocols without a trial program, the philox-only rejection, and the
-// threads x lane-width statistics identity at the harness level.
+// config. two_active is the only protocol with a trial program (the twin
+// decision is pinned below). The sweeps cover 2000+ seeds on the headline
+// two_active shape plus the duel, channel-cap, run-to-completion, timeout
+// and instrumentation variants, the per-trial route every other family
+// protocol takes through the executor, the per-lane fallback for faults /
+// adversaries, the philox-only rejection, and the threads x lane-width
+// statistics identity at the harness level.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -73,19 +76,14 @@ void ExpectSameResult(const RunResult& want, const RunResult& got,
 // Runs `seeds` trials through the trial-parallel executor (one Run call —
 // the engine chunks internally), the per-trial BatchEngine, and the
 // coroutine oracle, requiring three-way bit-exact agreement per seed. The
-// executor's fused_rounds must also match the per-trial batch engine's
-// when expect_same_fused holds: on the lane path every round is fused,
-// exactly like a pristine per-trial FastRound run; on the fallback path
-// the trials literally run on a BatchEngine. Programs whose per-trial twin
-// materializes rounds the lane path fuses (general's LeafElection stage,
-// and LeafElection itself, have no per-trial FastRound) pass
-// expect_same_fused = false — fused_rounds is executor diagnostics, not
-// model output.
+// executor's fused_rounds must also match the per-trial batch engine's: on
+// the lane path every round is fused, exactly like a pristine per-trial
+// FastRound run; on the fallback path the trials literally run on a
+// BatchEngine.
 void CheckTrialParity(EngineConfig config, const ProtocolFactory& coroutine,
                       StepProgram& program, int seeds,
                       std::int32_t lane_width = 32,
-                      std::uint64_t seed_base = 10'000,
-                      bool expect_same_fused = true) {
+                      std::uint64_t seed_base = 10'000) {
   config.rng = support::RngKind::kPhilox;
   TrialBatchEngine trial_engine(lane_width);
   BatchEngine batch_engine;
@@ -100,9 +98,7 @@ void CheckTrialParity(EngineConfig config, const ProtocolFactory& coroutine,
     config.seed = seed_list[t];
     const RunResult batch = batch_engine.Run(config, program);
     ExpectSameResult(batch, lanes[t], config.seed, "trial-vs-batch");
-    if (expect_same_fused) {
-      EXPECT_EQ(batch.fused_rounds, lanes[t].fused_rounds);
-    }
+    EXPECT_EQ(batch.fused_rounds, lanes[t].fused_rounds);
     const RunResult coro = Engine::Run(config, coroutine);
     ExpectSameResult(coro, lanes[t], config.seed, "trial-vs-coroutine");
     if (::testing::Test::HasFailure()) break;  // one seed's dump is enough
@@ -114,17 +110,14 @@ void CheckTrialParity(EngineConfig config, const ProtocolFactory& coroutine,
 // backend.
 void CheckTrialParityAllBackends(const EngineConfig& config,
                                  const ProtocolFactory& coroutine,
-                                 StepProgram& program, int seeds,
-                                 bool expect_same_fused = true,
-                                 std::int32_t lane_width = 32) {
+                                 StepProgram& program, int seeds) {
   const simd::Backend original = simd::ActiveBackend();
   for (const simd::Backend backend :
        {simd::Backend::kScalar, simd::Backend::kAvx2}) {
     if (!simd::BackendAvailable(backend)) continue;
     SCOPED_TRACE(simd::ToString(backend));
     simd::SetBackend(backend);
-    CheckTrialParity(config, coroutine, program, seeds, lane_width, 10'000,
-                     expect_same_fused);
+    CheckTrialParity(config, coroutine, program, seeds);
     if (::testing::Test::HasFailure()) break;
   }
   simd::SetBackend(original);
@@ -264,11 +257,11 @@ TEST(TrialEngineParity, AllBackendsBitExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Family twins (full trial-parallel coverage): every protocol of the
-// composed general algorithm — Reduce, IDReduction, LeafElection, the CD
-// knockout, and general itself — runs 2000+ seeds per available
-// backend, bit-exact against the per-trial BatchEngine and the coroutine
-// oracle. Configs mirror the per-trial parity suite
+// The family without twins: every protocol of the composed general
+// algorithm — Reduce, IDReduction, LeafElection, the CD knockout, and
+// general itself — runs through the executor's per-trial fallback, 2000+
+// seeds per available backend, bit-exact against the per-trial BatchEngine
+// and the coroutine oracle. Configs mirror the per-trial parity suite
 // (tests/batch_engine_test.cpp) so the three-engine agreement covers the
 // same shapes.
 // ---------------------------------------------------------------------------
@@ -309,16 +302,13 @@ TEST(TrialEngineFamilyParity, General2000SeedsAllBackends) {
   config.num_active = 64;
   config.channels = 64;
   auto program = MakeGeneralProgram();
-  // The per-trial batch engine materializes the LeafElection stage (no
-  // FastRound there); the lane path fuses every round — fused_rounds is
-  // executor diagnostics and legitimately differs.
-  CheckTrialParityAllBackends(config, core::MakeGeneral(), *program, 2000,
-                              /*expect_same_fused=*/false);
+  CheckTrialParityAllBackends(config, core::MakeGeneral(), *program, 2000);
 }
 
-// The lane twins keep their Reduce schedule across chunks and calls and
-// rebuild it only when the population changes: one engine (and its cached
-// twin) alternating populations must still match the oracle at each.
+// The programs keep their Reduce schedule across calls and rebuild it only
+// when the population changes: one engine handed the same program
+// instances at alternating populations must still match the oracle at
+// each.
 TEST(TrialEngineFamilyParity, ReduceScheduleFollowsPopulation) {
   TrialBatchEngine engine;
   auto reduce = MakeReduceProgram();
@@ -326,8 +316,7 @@ TEST(TrialEngineFamilyParity, ReduceScheduleFollowsPopulation) {
   std::vector<std::uint64_t> seeds(40);
   for (std::size_t t = 0; t < seeds.size(); ++t) seeds[t] = 20'000 + t;
   std::vector<RunResult> results(seeds.size());
-  // Populations vary innermost: the engine re-creates its cached twin
-  // whenever it is handed a different program.
+  // Populations vary innermost, so each program sees every change.
   for (const bool is_reduce : {true, false}) {
     for (const std::int64_t population : {1 << 10, 1 << 16, 1 << 10, 1 << 20}) {
       EngineConfig config;
@@ -351,7 +340,7 @@ TEST(TrialEngineFamilyParity, ReduceScheduleFollowsPopulation) {
 
 TEST(TrialEngineFamilyParity, GeneralFewChannelsKnockoutFallback) {
   // C below min_channels routes general onto its O(1)-channel knockout
-  // protocol — the twin's fallback_ path, exercised end to end.
+  // protocol, exercised end to end.
   EngineConfig config;
   config.population = 1024;
   config.num_active = 48;
@@ -365,10 +354,9 @@ TEST(TrialEngineFamilyParity, GeneralRunToCompletion) {
   config.population = 512;
   config.num_active = 16;
   config.channels = 32;
-  config.stop_when_solved = false;  // lanes retire on termination instead
+  config.stop_when_solved = false;  // trials end on termination instead
   auto program = MakeGeneralProgram();
-  CheckTrialParity(config, core::MakeGeneral(), *program, 300, 32, 10'000,
-                   /*expect_same_fused=*/false);
+  CheckTrialParity(config, core::MakeGeneral(), *program, 300);
 }
 
 TEST(TrialEngineFamilyParity, GeneralTimeoutMidReduce) {
@@ -376,10 +364,9 @@ TEST(TrialEngineFamilyParity, GeneralTimeoutMidReduce) {
   config.population = 1 << 16;
   config.num_active = 256;
   config.channels = 64;
-  config.max_rounds = 4;  // stop mid-Reduce: every lane times out together
+  config.max_rounds = 4;  // stop mid-Reduce: every trial times out
   auto program = MakeGeneralProgram();
-  CheckTrialParity(config, core::MakeGeneral(), *program, 200, 32, 10'000,
-                   /*expect_same_fused=*/false);
+  CheckTrialParity(config, core::MakeGeneral(), *program, 200);
 }
 
 // LeafElection draws no randomness — a run is determined by the leaf
@@ -411,8 +398,7 @@ void CheckLeafElectionTrialParity(bool force_binary) {
       CheckTrialParity(config,
                        core::MakeLeafElectionOnly(leaves, kNumLeaves, params),
                        *program, 24, /*lane_width=*/8,
-                       /*seed_base=*/1000 + static_cast<std::uint64_t>(rep),
-                       /*expect_same_fused=*/false);
+                       /*seed_base=*/1000 + static_cast<std::uint64_t>(rep));
       if (::testing::Test::HasFailure()) break;
     }
     if (::testing::Test::HasFailure()) break;
@@ -524,58 +510,21 @@ TEST(TrialEngineFallback, RobustLaneWidthInvisibleAtHarnessLevel) {
   EXPECT_EQ(narrow.rounds_total, wide.rounds_total);
 }
 
-// Forwards everything to an inner program but reports no trial twin — the
-// pre-twin shape of the family programs, keeping the wholesale-fallback
-// path under test now that every shipped family program has a twin.
-class TwinlessProgram : public StepProgram {
- public:
-  explicit TwinlessProgram(std::unique_ptr<StepProgram> inner)
-      : inner_(std::move(inner)) {}
-  std::string_view name() const override { return inner_->name(); }
-  bool identical_draw_order() const override {
-    return inner_->identical_draw_order();
-  }
-  void Reset(const BatchContext& ctx) override { inner_->Reset(ctx); }
-  void EmitActions(const BatchContext& ctx, std::span<const NodeId> alive,
-                   std::span<mac::Action> actions) override {
-    inner_->EmitActions(ctx, alive, actions);
-  }
-  void Advance(const BatchContext& ctx, std::span<const NodeId> alive,
-               std::span<const mac::Action> actions,
-               std::span<const mac::Feedback> feedback,
-               std::span<std::uint8_t> finished) override {
-    inner_->Advance(ctx, alive, actions, feedback, finished);
-  }
-  bool FastRound(const BatchContext& ctx, std::span<const NodeId> alive,
-                 std::span<std::int64_t> node_tx,
-                 std::span<std::uint8_t> finished,
-                 FastRoundEffects* effects) override {
-    return inner_->FastRound(ctx, alive, node_tx, finished, effects);
-  }
-  bool LockstepRestored(const BatchContext& ctx,
-                        std::span<const NodeId> alive) override {
-    return inner_->LockstepRestored(ctx, alive);
-  }
-
- private:
-  std::unique_ptr<StepProgram> inner_;
-};
-
 TEST(TrialEngineFallback, ProtocolWithoutTrialProgram) {
   EngineConfig config;
   config.population = 1024;
   config.num_active = 64;
   config.channels = 64;
-  TwinlessProgram program(MakeGeneralProgram());
-  ASSERT_EQ(program.MakeTrialProgram(), nullptr);
-  CheckTrialParity(config, core::MakeGeneral(), program, 200);
+  auto program = MakeGeneralProgram();
+  ASSERT_EQ(program->MakeTrialProgram(), nullptr);
+  CheckTrialParity(config, core::MakeGeneral(), *program, 200);
 
   // The wholesale fallback must be visible in the executor diagnostics.
   config.rng = support::RngKind::kPhilox;
   TrialBatchEngine engine(8);
   std::vector<std::uint64_t> seeds{1, 2, 3};
   std::vector<RunResult> results(seeds.size());
-  engine.Run(config, program, seeds, results);
+  engine.Run(config, *program, seeds, results);
   for (const RunResult& r : results) {
     EXPECT_TRUE(r.trial_fallback);
     EXPECT_EQ(r.trial_lanes, 0);
@@ -652,6 +601,27 @@ TEST(TrialEngineFallback, NoFusedRoundsFallsBack) {
 // ---------------------------------------------------------------------------
 // Contract checks.
 // ---------------------------------------------------------------------------
+
+// Lockstep lanes pay only where a trial is a handful of draws, so
+// two_active is the one protocol with a trial program: every other
+// registered step program and the standalone family stages run per trial.
+TEST(TrialEngine, OnlyTwoActiveHasATrialProgram) {
+  std::vector<std::unique_ptr<StepProgram>> programs;
+  for (const harness::AlgorithmInfo& info : harness::Algorithms()) {
+    if (info.make_step != nullptr) programs.push_back(info.make_step()());
+  }
+  programs.push_back(MakeReduceProgram());
+  programs.push_back(MakeIdReductionProgram());
+  programs.push_back(MakeLeafElectionProgram({0, 1}, 2));
+  std::int32_t twins = 0;
+  for (const auto& program : programs) {
+    SCOPED_TRACE(program->name());
+    const bool twin = program->MakeTrialProgram() != nullptr;
+    EXPECT_EQ(twin, program->name() == "two_active");
+    twins += twin;
+  }
+  EXPECT_EQ(twins, 1);
+}
 
 TEST(TrialEngine, RejectsXoshiro) {
   EngineConfig config;

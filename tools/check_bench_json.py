@@ -1,53 +1,36 @@
 #!/usr/bin/env python3
 """Validate crmc bench JSON artifacts and gate regressions.
 
-Supports three schemas, dispatched on the artifact's "schema" field:
+Supports five schemas, dispatched on the artifact's "schema" field:
 
-  crmc.bench_engine.v1   throughput grid (bench_engine_throughput --json).
+  crmc.bench_engine.v4   throughput grid (bench_engine_throughput --json).
       check_bench_json.py BENCH_engine.json
       check_bench_json.py NEW.json --baseline BENCH_engine.json \\
           [--max-regression 0.20] [--min-speedup 1.0]
-      Without --baseline only the schema is validated. With --baseline,
-      every grid point present in both files is compared on the batch
-      engine's trials/sec and the check fails if any point regressed by
-      more than --max-regression (default 20%). Trial counts may differ
-      (quick vs full runs); points are keyed by (protocol, population,
-      num_active, channels).
-
-  crmc.bench_engine.v2   v1 plus provenance and per-kernel rates: a
-      "metadata" object (cpu, compiler, dispatch, rng — non-empty strings)
-      and a "kernels" array of simd microbenchmark entries (name, backend,
-      lanes, items_per_sec). The grid points are unchanged, so --baseline
-      works across versions in both directions (a v1 baseline gates a v2
-      artifact and vice versa).
-
-  crmc.bench_engine.v3   v2 plus the trial-parallel executor comparison:
-      metadata gains "lane_width" (positive int) and every grid point whose
-      protocol has a trial-parallel twin gains a "trial" object —
-      lane_width, rng ("philox": both sides of the comparison run the
-      executor's required generator), engines.{batch,trial_batch} with the
-      usual metrics, and speedup_trials_per_sec (trial_batch vs batch).
-      The top-level engines block still uses the artifact's metadata.rng,
-      so --baseline keeps working across v1/v2/v3 in both directions.
-      --min-trial-speedup <f> additionally requires
-      trial.speedup_trials_per_sec >= f on every small-active point
-      (num_active <= 16) carrying a trial block, and fails if no such
-      point exists (the floor must not pass vacuously).
-
-  crmc.bench_engine.v4   v3 plus the sweep-executor comparison: a required
-      top-level "sweep_throughput" object — protocol, threads, points,
+      Validates the grid points (coroutine and batch engine metrics), a
+      "metadata" object (cpu, compiler, dispatch, rng — non-empty strings —
+      and a positive lane_width), a "kernels" array of simd
+      microbenchmark entries (name, backend, lanes, items_per_sec), the
+      optional per-point "trial" object on points whose protocol has a
+      trial-parallel twin — lane_width, rng ("philox": both sides of the
+      comparison run the executor's required generator),
+      engines.{batch,trial_batch} with the usual metrics, and
+      speedup_trials_per_sec (trial_batch vs batch) — and a required
+      top-level "sweep_throughput" object: protocol, threads, points,
       trials_per_point, lane_width, spawn/executor sides (seconds,
       points_per_sec, cross-checked against points/seconds), and
-      speedup_points_per_sec (cross-checked as the rate ratio). Grid
-      points are unchanged, so --baseline carries over across v1..v4 in
-      both directions. Two additional gates:
+      speedup_points_per_sec (cross-checked as the rate ratio).
+      With --baseline, every grid point present in both files is compared
+      on the batch engine's trials/sec and the check fails if any point
+      regressed by more than --max-regression (default 20%). Trial counts
+      may differ (quick vs full runs); points are keyed by (protocol,
+      population, num_active, channels). Two more gates:
+      --min-trial-speedup <f> requires trial.speedup_trials_per_sec >= f
+      on every small-active point (num_active <= 16) carrying a trial
+      block, and fails if no such point exists (the floor must not pass
+      vacuously).
       --min-sweep-speedup <f> requires
-      sweep_throughput.speedup_points_per_sec >= f (v4 artifacts only).
-      --trial-speedup-floors "proto=floor,proto2=floor" gates
-      trial.speedup_trials_per_sec per protocol on the small-active
-      points; every named protocol must have at least one gated point
-      (no vacuous floors), and every gated point of that protocol must
-      clear its floor.
+      sweep_throughput.speedup_points_per_sec >= f.
 
   crmc.bench_faults.v1   fault-degradation grid (bench_fault_tolerance
       --json). Validates the schema, cross-checks the counters
@@ -66,24 +49,8 @@ Supports three schemas, dispatched on the artifact's "schema" field:
       group, success_rate must be non-increasing as budget_fraction rises
       (same --monotone-tolerance). --baseline is a usage error here too.
 
-  crmc.bench_robust.v2   static-vs-adaptive wrapper grid (bench_robust
-      --json): each point runs the same adversary + fault config three
-      ways — bare, under the static robust wrapper, and under the
-      adaptive (self-tuning) wrapper — over shared seeds. Validates all
-      three breakdowns and the per-side robust accounting (confirmed <=
-      solved, epochs_used == retries + trials, echo + backoff jams <=
-      effective <= spent <= budget * trials, exact overhead_vs_static =
-      adaptive.rounds_total / static.rounds_total), then gates the
-      arms-race claims: the ADAPTIVE side must confirm >= --delivery-floor
-      (default 0.99) on every point, fault compositions included; at
-      least one point must pair that with an outright bare failure; and
-      at least one lookahead point must show the static wrapper below the
-      floor while the adaptive wrapper holds it (the witness that the
-      static defense is actually beaten, not merely matched).
-      --baseline is a usage error.
-
   crmc.bench_robust.v3   optimal-budget bisection curves (bench_robust
-      --json, arms-race round 3; supersedes the v2 fraction grid): one
+      --json, arms-race round 3): one
       curve per cell of {two_active, general} x {primary_camper,
       lookahead, learning, probing} x {static, adaptive, hardened}, each
       carrying the budgets harness::BisectMinBreakBudget evaluated plus
@@ -135,14 +102,7 @@ import json
 import math
 import sys
 
-ENGINE_SCHEMA = "crmc.bench_engine.v1"
-ENGINE_SCHEMA_V2 = "crmc.bench_engine.v2"
-ENGINE_SCHEMA_V3 = "crmc.bench_engine.v3"
 ENGINE_SCHEMA_V4 = "crmc.bench_engine.v4"
-ENGINE_SCHEMAS = (ENGINE_SCHEMA, ENGINE_SCHEMA_V2, ENGINE_SCHEMA_V3,
-                  ENGINE_SCHEMA_V4)
-# Schemas whose grid points may carry a per-point "trial" block.
-ENGINE_TRIAL_SCHEMAS = (ENGINE_SCHEMA_V3, ENGINE_SCHEMA_V4)
 # The bench writes seconds with fewer significant digits than the derived
 # rates, so the internal-consistency cross-checks use this relative slack.
 SWEEP_CONSISTENCY_RTOL = 1e-4
@@ -152,7 +112,6 @@ SWEEP_CONSISTENCY_RTOL = 1e-4
 TRIAL_SPEEDUP_MAX_ACTIVE = 16
 FAULTS_SCHEMA = "crmc.bench_faults.v1"
 ADVERSARY_SCHEMA = "crmc.bench_adversary.v1"
-ROBUST_SCHEMA = "crmc.bench_robust.v2"
 ROBUST_SCHEMA_V3 = "crmc.bench_robust.v3"
 ROBUST_V3_PROTOCOLS = ("two_active", "general")
 ROBUST_V3_STRATEGIES = ("primary_camper", "lookahead", "learning", "probing")
@@ -171,10 +130,6 @@ TRAFFIC_POST_PEAK_FLOOR = 0.7
 ADVERSARY_STRATEGIES = ("oblivious_rate", "primary_camper", "greedy_reactive",
                         "random_budgeted", "scripted", "phase_tracking",
                         "lookahead", "learning", "probing")
-# two_active witness points run the lookahead jammer at multiples of the
-# bare round budget (it holds through honeypots, so fractions above 1.0
-# are where static defense cracks); 16 is a sanity ceiling, not a claim.
-MAX_BUDGET_FRACTION = 16.0
 ADVERSARY_OBS_MODES = ("full", "activity")
 METADATA_KEYS = ("cpu", "compiler", "dispatch", "rng")
 ENGINE_METRICS = ("seconds", "trials_per_sec", "rounds_per_sec",
@@ -233,7 +188,7 @@ def _check_number(container, key, where, lo=None, hi=None):
     return v
 
 
-def _validate_metadata(doc, path, require_lane_width=False):
+def _validate_metadata(doc, path):
     meta = doc.get("metadata")
     if not isinstance(meta, dict):
         fail(f"{path}: 'metadata' must be an object")
@@ -241,8 +196,7 @@ def _validate_metadata(doc, path, require_lane_width=False):
         v = meta.get(key)
         if not isinstance(v, str) or not v:
             fail(f"{path}: metadata.{key} must be a non-empty string")
-    if require_lane_width:
-        _check_positive_int(meta, "lane_width", f"{path}: metadata")
+    _check_positive_int(meta, "lane_width", f"{path}: metadata")
     return meta
 
 
@@ -266,8 +220,8 @@ def _validate_kernels(doc, path):
 
 
 def _validate_trial_block(p, where):
-    """Checks a v3 per-point 'trial' object (absent on points whose
-    protocol has no trial-parallel twin)."""
+    """Checks a per-point 'trial' object (absent on points whose protocol
+    has no trial-parallel twin)."""
     trial = p.get("trial")
     if trial is None:
         return None
@@ -291,7 +245,7 @@ def _validate_trial_block(p, where):
 
 
 def _validate_sweep_throughput(doc, path):
-    """Checks the v4 top-level 'sweep_throughput' object: spawn-per-point
+    """Checks the top-level 'sweep_throughput' object: spawn-per-point
     vs persistent-executor timings for the same whole-grid dispatch, with
     both points_per_sec rates and the speedup cross-checked as arithmetic
     over the committed numbers (no hand-edited summary values)."""
@@ -327,14 +281,11 @@ def _validate_sweep_throughput(doc, path):
     return sweep
 
 
-def validate_engine(doc, path, schema=ENGINE_SCHEMA):
-    """Checks a crmc.bench_engine.* schema; returns the points list."""
-    if schema != ENGINE_SCHEMA:
-        _validate_metadata(doc, path,
-                           require_lane_width=schema in ENGINE_TRIAL_SCHEMAS)
-        _validate_kernels(doc, path)
-    if schema == ENGINE_SCHEMA_V4:
-        _validate_sweep_throughput(doc, path)
+def validate_engine(doc, path):
+    """Checks the crmc.bench_engine.v4 schema; returns the points list."""
+    _validate_metadata(doc, path)
+    _validate_kernels(doc, path)
+    _validate_sweep_throughput(doc, path)
     points = _check_points_container(doc, path)
     for i, p in enumerate(points):
         where = f"{path}: points[{i}]"
@@ -354,8 +305,7 @@ def validate_engine(doc, path, schema=ENGINE_SCHEMA):
             for metric in ENGINE_METRICS:
                 _check_number(eng, metric, f"{where}: engines.{name}", lo=0)
         _check_number(p, "speedup_trials_per_sec", where, lo=0)
-        if schema in ENGINE_TRIAL_SCHEMAS:
-            _validate_trial_block(p, where)
+        _validate_trial_block(p, where)
     keys = [tuple(p[k] for k in POINT_KEYS) for p in points]
     if len(set(keys)) != len(keys):
         fail(f"{path}: duplicate grid points")
@@ -460,140 +410,6 @@ def validate_adversary(doc, path):
                  f"{solved / trials}")
         _check_number(p, "mean_solved_rounds", where, lo=0)
         _check_number(p, "round_inflation", where, lo=0)
-    return points
-
-
-def _check_breakdown(side, trials, where):
-    """Shared solved/unsolved bookkeeping for a bare or wrapped breakdown."""
-    solved = _check_count(side, "solved", where)
-    unsolved = _check_count(side, "unsolved", where)
-    timed_out = _check_count(side, "timed_out", where)
-    aborted = _check_count(side, "aborted", where)
-    wedged = _check_count(side, "wedged", where)
-    silent = _check_count(side, "silent_failures", where)
-    if solved + unsolved != trials:
-        fail(f"{where}: solved {solved} + unsolved {unsolved} "
-             f"!= trials {trials}")
-    if timed_out + aborted + silent != unsolved:
-        fail(f"{where}: timed_out {timed_out} + aborted {aborted} + "
-             f"silent_failures {silent} != unsolved {unsolved}")
-    if wedged > timed_out:
-        fail(f"{where}: wedged {wedged} > timed_out {timed_out}")
-    rate = _check_number(side, "success_rate", where, lo=0.0, hi=1.0)
-    if abs(rate - solved / trials) > 1e-9:
-        fail(f"{where}: success_rate {rate} != solved/trials "
-             f"{solved / trials}")
-    return solved
-
-
-def _check_wrapped_side(side, trials, budget, max_epochs, where):
-    """A static or adaptive wrapped side: breakdown + robust + adversary
-    accounting. Returns the side's confirmed_rate."""
-    solved = _check_breakdown(side, trials, where)
-    confirmed = _check_count(side, "confirmed", where)
-    if confirmed > solved:
-        fail(f"{where}: confirmed {confirmed} > solved {solved}")
-    crate = _check_number(side, "confirmed_rate", where, lo=0.0, hi=1.0)
-    if abs(crate - confirmed / trials) > 1e-9:
-        fail(f"{where}: confirmed_rate {crate} != confirmed/trials "
-             f"{confirmed / trials}")
-    epochs = _check_count(side, "epochs_used", where)
-    retries = _check_count(side, "retries", where)
-    if epochs != retries + trials:
-        fail(f"{where}: epochs_used {epochs} != retries {retries} + "
-             f"trials {trials} (each trial runs retries + 1 epochs)")
-    if retries > (max_epochs - 1) * trials:
-        fail(f"{where}: retries {retries} exceeds (max_epochs - 1) * trials")
-    _check_count(side, "confirm_rounds", where)
-    _check_count(side, "backoff_rounds", where)
-    _check_positive_int(side, "rounds_total", where)
-    spent = _check_count(side, "adv_jams_spent", where)
-    effective = _check_count(side, "adv_jams_effective", where)
-    if effective > spent:
-        fail(f"{where}: adv_jams_effective {effective} > "
-             f"adv_jams_spent {spent}")
-    if spent > budget * trials:
-        fail(f"{where}: adv_jams_spent {spent} exceeds the aggregate "
-             f"budget {budget} * {trials} trials")
-    _check_count(side, "adv_rounds_held", where)
-    echo = _check_count(side, "adv_jams_echo", where)
-    backoff = _check_count(side, "adv_jams_backoff", where)
-    if echo + backoff > spent:
-        fail(f"{where}: adv_jams_echo {echo} + adv_jams_backoff {backoff} "
-             f"exceeds adv_jams_spent {spent}")
-    _check_number(side, "mean_solved_rounds", where, lo=0)
-    return crate
-
-
-def validate_robust(doc, path):
-    """Checks the crmc.bench_robust.v2 schema; returns the points list."""
-    points = _check_points_container(doc, path)
-    for i, p in enumerate(points):
-        where = f"{path}: points[{i}]"
-        if not isinstance(p, dict):
-            fail(f"{where}: must be an object")
-        if not isinstance(p.get("protocol"), str) or not p["protocol"]:
-            fail(f"{where}: 'protocol' must be a non-empty string")
-        for key in ("population", "num_active", "channels", "trials",
-                    "bare_max_rounds", "wrapped_max_rounds"):
-            _check_positive_int(p, key, where)
-        if p["wrapped_max_rounds"] < p["bare_max_rounds"]:
-            fail(f"{where}: wrapped_max_rounds {p['wrapped_max_rounds']} < "
-                 f"bare_max_rounds {p['bare_max_rounds']}")
-        adv = p.get("adversary")
-        if not isinstance(adv, dict):
-            fail(f"{where}: 'adversary' must be an object")
-        strategy = adv.get("strategy")
-        if strategy not in ADVERSARY_STRATEGIES:
-            fail(f"{where}: adversary.strategy {strategy!r} not one of "
-                 f"{ADVERSARY_STRATEGIES}")
-        if adv.get("obs") not in ADVERSARY_OBS_MODES:
-            fail(f"{where}: adversary.obs {adv.get('obs')!r} not one of "
-                 f"{ADVERSARY_OBS_MODES}")
-        budget = _check_count(adv, "budget", f"{where}: adversary")
-        _check_number(adv, "budget_fraction", f"{where}: adversary",
-                      lo=0.0, hi=MAX_BUDGET_FRACTION)
-        _check_positive_int(adv, "per_round_cap", f"{where}: adversary")
-        faults = p.get("faults")
-        if not isinstance(faults, dict):
-            fail(f"{where}: 'faults' must be an object")
-        if not isinstance(faults.get("name"), str) or not faults["name"]:
-            fail(f"{where}: faults.name must be a non-empty string")
-        for key in ("erasure_rate", "flaky_cd_rate"):
-            _check_number(faults, key, f"{where}: faults", lo=0.0, hi=1.0)
-        _check_count(faults, "fault_seed", f"{where}: faults")
-        rob = p.get("robust")
-        if not isinstance(rob, dict):
-            fail(f"{where}: 'robust' must be an object")
-        _check_positive_int(rob, "max_epochs", f"{where}: robust")
-        _check_count(rob, "confirm_attempts", f"{where}: robust")
-        base = _check_count(rob, "backoff_base", f"{where}: robust")
-        cap = _check_count(rob, "backoff_cap", f"{where}: robust")
-        if cap < base:
-            fail(f"{where}: robust.backoff_cap {cap} < backoff_base {base}")
-        trials = p["trials"]
-        bare = p.get("bare")
-        if not isinstance(bare, dict):
-            fail(f"{where}: 'bare' must be an object")
-        _check_breakdown(bare, trials, f"{where}: bare")
-        for side_name in ("static", "adaptive"):
-            side = p.get(side_name)
-            if not isinstance(side, dict):
-                fail(f"{where}: '{side_name}' must be an object")
-            _check_wrapped_side(side, trials, budget, rob["max_epochs"],
-                                f"{where}: {side_name}")
-        adaptive = p["adaptive"]
-        _check_count(adaptive, "adaptive_confirm_extra", f"{where}: adaptive")
-        _check_count(adaptive, "adaptive_backoff_trimmed",
-                     f"{where}: adaptive")
-        _check_count(adaptive, "confirm_quorum_peak", f"{where}: adaptive")
-        # The overhead ratio must be exact arithmetic over the committed
-        # totals, not a hand-edited summary number.
-        overhead = _check_number(p, "overhead_vs_static", where, lo=0.0)
-        expected = adaptive["rounds_total"] / p["static"]["rounds_total"]
-        if abs(overhead - expected) > 1e-9 * max(1.0, expected):
-            fail(f"{where}: overhead_vs_static {overhead} != "
-                 f"adaptive.rounds_total / static.rounds_total {expected}")
     return points
 
 
@@ -1045,48 +861,6 @@ def check_traffic_million(doc, path):
     return arrivals
 
 
-def check_delivery_floor(points, floor):
-    """Every point's ADAPTIVE side must confirm at least `floor` of its
-    trials — fault compositions and lookahead jamming included; at least
-    one point must pair that with an outright bare failure (the headline
-    claim: the adaptive wrapper delivers where the bare protocol cannot)."""
-    headline = 0
-    for p in points:
-        crate = p["adaptive"]["confirmed_rate"]
-        if crate < floor:
-            a = p["adversary"]
-            fail(f"{p['protocol']} {a['strategy']} budget_fraction "
-                 f"{a['budget_fraction']} faults {p['faults']['name']}: "
-                 f"adaptive confirmed_rate {crate:.3f} below the delivery "
-                 f"floor {floor}")
-        if p["bare"]["success_rate"] == 0.0 and crate >= floor:
-            headline += 1
-    if headline == 0:
-        fail(f"no point has bare success_rate 0 with adaptive "
-             f"confirmed_rate >= {floor}; the artifact does not witness "
-             f"the headline claim")
-    return headline
-
-
-def check_lookahead_witness(points, floor):
-    """At least one lookahead point must show the static wrapper below the
-    delivery floor while the adaptive wrapper holds it. Without such a
-    witness the artifact only shows the two policies tying — not that the
-    lookahead adversary actually beats a static defense."""
-    witnesses = 0
-    for p in points:
-        if p["adversary"]["strategy"] != "lookahead":
-            continue
-        if p["static"]["confirmed_rate"] < floor and \
-                p["adaptive"]["confirmed_rate"] >= floor:
-            witnesses += 1
-    if witnesses == 0:
-        fail(f"no lookahead point has static confirmed_rate < {floor} with "
-             f"adaptive confirmed_rate >= {floor}; the artifact does not "
-             f"witness the static wrapper being beaten")
-    return witnesses
-
-
 def check_budget_monotonicity(points, tolerance):
     """success_rate must not rise with budget_fraction, all else equal.
 
@@ -1163,59 +937,6 @@ def check_trial_speedup(points, floor, max_active=TRIAL_SPEEDUP_MAX_ACTIVE):
     return gated
 
 
-def parse_trial_floors(text):
-    """Parses --trial-speedup-floors "proto=floor,proto2=floor" into a
-    dict; raises ValueError on malformed input (main turns that into a
-    usage error)."""
-    floors = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, sep, value = item.partition("=")
-        name = name.strip()
-        if not sep or not name:
-            raise ValueError(f"malformed floor entry {item!r} "
-                             f"(expected proto=floor)")
-        floors[name] = float(value)
-    if not floors:
-        raise ValueError("no floors given")
-    return floors
-
-
-def check_trial_speedup_floors(points, floors,
-                               max_active=TRIAL_SPEEDUP_MAX_ACTIVE):
-    """Per-protocol trial-executor floors over the small-active points.
-    Every named protocol must have at least one gated point (a floor
-    nothing is measured against would pass vacuously), and every gated
-    point of that protocol must clear its floor."""
-    gated_total = 0
-    for proto in sorted(floors):
-        floor = floors[proto]
-        gated = 0
-        for p in points:
-            if p["protocol"] != proto or p["num_active"] > max_active:
-                continue
-            trial = p.get("trial")
-            if trial is None:
-                continue
-            gated += 1
-            sp = trial["speedup_trials_per_sec"]
-            label = (f"{p['protocol']} n={p['population']} "
-                     f"active={p['num_active']} C={p['channels']}")
-            if sp < floor:
-                fail(f"{label}: trial executor speedup {sp:.2f} < floor "
-                     f"{floor:.2f} from --trial-speedup-floors")
-            print(f"{label}: trial executor speedup {sp:.2f} >= "
-                  f"{floor:.2f} ok")
-        if gated == 0:
-            fail(f"--trial-speedup-floors names {proto!r} but no point with "
-                 f"num_active <= {max_active} and a 'trial' block has that "
-                 f"protocol; the floor would pass vacuously")
-        gated_total += gated
-    return gated_total
-
-
 def point_key(p):
     return tuple(p[k] for k in POINT_KEYS)
 
@@ -1251,34 +972,17 @@ def run_checks(args):
     if not isinstance(doc, dict):
         fail(f"{args.artifact}: top level must be an object")
     schema = doc.get("schema")
-    if schema in ENGINE_SCHEMAS:
-        points = validate_engine(doc, args.artifact, schema)
+    if schema == ENGINE_SCHEMA_V4:
+        points = validate_engine(doc, args.artifact)
         print(f"{args.artifact}: schema ok, {len(points)} grid points")
-        if schema != ENGINE_SCHEMA:
-            meta = doc["metadata"]
-            print(f"metadata: cpu={meta['cpu']!r} dispatch={meta['dispatch']} "
-                  f"rng={meta['rng']}; {len(doc['kernels'])} kernel rates")
+        meta = doc["metadata"]
+        print(f"metadata: cpu={meta['cpu']!r} dispatch={meta['dispatch']} "
+              f"rng={meta['rng']}; {len(doc['kernels'])} kernel rates")
         if args.min_trial_speedup is not None:
-            if schema not in ENGINE_TRIAL_SCHEMAS:
-                fail(f"{args.artifact}: --min-trial-speedup needs a "
-                     f"{ENGINE_SCHEMA_V3} or {ENGINE_SCHEMA_V4} artifact, "
-                     f"got {schema}")
             gated = check_trial_speedup(points, args.min_trial_speedup)
             print(f"trial executor floor {args.min_trial_speedup:.2f} holds "
                   f"on {gated} small-active points")
-        if args.trial_speedup_floors is not None:
-            if schema not in ENGINE_TRIAL_SCHEMAS:
-                fail(f"{args.artifact}: --trial-speedup-floors needs a "
-                     f"{ENGINE_SCHEMA_V3} or {ENGINE_SCHEMA_V4} artifact, "
-                     f"got {schema}")
-            gated = check_trial_speedup_floors(points,
-                                               args.trial_speedup_floors)
-            print(f"per-protocol trial floors hold on {gated} small-active "
-                  f"points across {len(args.trial_speedup_floors)} protocols")
         if args.min_sweep_speedup is not None:
-            if schema != ENGINE_SCHEMA_V4:
-                fail(f"{args.artifact}: --min-sweep-speedup needs a "
-                     f"{ENGINE_SCHEMA_V4} artifact, got {schema}")
             sp = doc["sweep_throughput"]["speedup_points_per_sec"]
             if sp < args.min_sweep_speedup:
                 fail(f"sweep_throughput: executor speedup {sp:.2f} < "
@@ -1298,10 +1002,10 @@ def run_checks(args):
             if not isinstance(base_doc, dict):
                 fail(f"{args.baseline}: top level must be an object")
             base_schema = base_doc.get("schema")
-            if base_schema not in ENGINE_SCHEMAS:
+            if base_schema != ENGINE_SCHEMA_V4:
                 fail(f"{args.baseline}: baseline schema is {base_schema!r}, "
-                     f"expected an engine schema")
-            base_points = validate_engine(base_doc, args.baseline, base_schema)
+                     f"expected {ENGINE_SCHEMA_V4!r}")
+            base_points = validate_engine(base_doc, args.baseline)
             compared = check_engine_baseline(points, base_points,
                                              args.max_regression)
             print(f"no regression > {args.max_regression:.0%} across "
@@ -1326,21 +1030,6 @@ def run_checks(args):
         print(f"{args.artifact}: schema ok, {len(points)} adversary points")
         checked = check_budget_monotonicity(points, args.monotone_tolerance)
         print(f"budget-axis monotonicity ok across {checked} adjacent pairs")
-    elif schema == ROBUST_SCHEMA:
-        if args.baseline:
-            print(f"--baseline is not supported for {ROBUST_SCHEMA} "
-                  "(outcomes are deterministic; no timing to gate)",
-                  file=sys.stderr)
-            sys.exit(2)
-        points = validate_robust(doc, args.artifact)
-        print(f"{args.artifact}: schema ok, {len(points)} robust points "
-              f"(overhead accounting exact on all)")
-        headline = check_delivery_floor(points, args.delivery_floor)
-        print(f"delivery floor {args.delivery_floor} holds on every adaptive "
-              f"point; {headline} points witness bare-fails/adaptive-delivers")
-        witnesses = check_lookahead_witness(points, args.delivery_floor)
-        print(f"{witnesses} lookahead points witness static-loses/"
-              f"adaptive-holds")
     elif schema == ROBUST_SCHEMA_V3:
         if args.baseline:
             print(f"--baseline is not supported for {ROBUST_SCHEMA_V3} "
@@ -1383,8 +1072,8 @@ def run_checks(args):
               "coroutine episodes")
     else:
         fail(f"{args.artifact}: schema is {schema!r}, expected one of "
-             f"{ENGINE_SCHEMAS}, {FAULTS_SCHEMA!r}, {ADVERSARY_SCHEMA!r}, "
-             f"{ROBUST_SCHEMA!r}, {ROBUST_SCHEMA_V3!r} or "
+             f"{ENGINE_SCHEMA_V4!r}, {FAULTS_SCHEMA!r}, "
+             f"{ADVERSARY_SCHEMA!r}, {ROBUST_SCHEMA_V3!r} or "
              f"{TRAFFIC_SCHEMA!r}")
     print("check_bench_json: OK")
 
@@ -1443,61 +1132,6 @@ def _adversary_point(strategy="primary_camper", fraction=0.0, success=1.0,
         "adv_jams_effective": 0,
     }
     p.update(overrides)
-    return p
-
-
-def _wrapped_side(rate, trials, budget, retries, rounds_total):
-    ok = round(rate * trials)
-    return {
-        "solved": ok, "unsolved": trials - ok, "timed_out": trials - ok,
-        "aborted": 0, "wedged": 0, "silent_failures": 0,
-        "success_rate": ok / trials,
-        "confirmed": ok, "confirmed_rate": ok / trials,
-        "mean_solved_rounds": 10.0,
-        "epochs_used": retries + trials, "retries": retries,
-        "confirm_rounds": 3 * trials, "backoff_rounds": 2 * trials,
-        "rounds_total": rounds_total,
-        "adv_jams_spent": min(budget, 5) * trials,
-        "adv_jams_effective": min(budget, 4) * trials,
-        "adv_rounds_held": trials,
-        "adv_jams_echo": min(budget, 3) * trials,
-        "adv_jams_backoff": min(budget, 1) * trials,
-    }
-
-
-def _robust_point(strategy="primary_camper", fraction=0.0, bare_success=1.0,
-                  static_rate=1.0, adaptive_rate=1.0, trials=100,
-                  retries=0, **overrides):
-    bare_solved = round(bare_success * trials)
-    budget = round(fraction * 2000 * 2)
-    static_side = _wrapped_side(static_rate, trials, budget, retries, 1000)
-    adaptive_side = _wrapped_side(adaptive_rate, trials, budget, retries, 800)
-    adaptive_side.update({"adaptive_confirm_extra": 5 * trials,
-                          "adaptive_backoff_trimmed": trials,
-                          "confirm_quorum_peak": 12})
-    p = {
-        "protocol": "general", "population": 4096, "num_active": 256,
-        "channels": 32, "bare_max_rounds": 2000, "wrapped_max_rounds": 32000,
-        "trials": trials,
-        "adversary": {"strategy": strategy, "obs": "full", "budget": budget,
-                      "budget_fraction": fraction, "per_round_cap": 2},
-        "faults": {"name": "none", "erasure_rate": 0.0, "flaky_cd_rate": 0.0,
-                   "fault_seed": 0},
-        "robust": {"max_epochs": 32, "confirm_attempts": 3,
-                   "backoff_base": 2, "backoff_cap": 1024},
-        "bare": {"solved": bare_solved, "unsolved": trials - bare_solved,
-                 "timed_out": 0, "aborted": 0, "wedged": 0,
-                 "silent_failures": trials - bare_solved,
-                 "success_rate": bare_solved / trials},
-        "static": static_side,
-        "adaptive": adaptive_side,
-        "overhead_vs_static": 800 / 1000,
-    }
-    for key, value in overrides.items():
-        if isinstance(value, dict) and isinstance(p.get(key), dict):
-            p[key] = dict(p[key], **value)
-        else:
-            p[key] = value
     return p
 
 
@@ -1686,21 +1320,6 @@ def _expect_fail(what, fn, needle):
     return False
 
 
-def _v2_doc(**overrides):
-    doc = {
-        "schema": ENGINE_SCHEMA_V2,
-        "metadata": {"cpu": "Test CPU", "compiler": "g++ 0.0",
-                     "dispatch": "avx2", "rng": "xoshiro"},
-        "kernels": [{"name": "coin_mask", "backend": "scalar",
-                     "lanes": 4096, "items_per_sec": 1e9},
-                    {"name": "coin_mask", "backend": "avx2",
-                     "lanes": 4096, "items_per_sec": 4e9}],
-        "points": [_engine_point()],
-    }
-    doc.update(overrides)
-    return doc
-
-
 def _trial_block(speedup=2.0, lane_width=32):
     return {
         "lane_width": lane_width, "rng": "philox",
@@ -1714,19 +1333,6 @@ def _trial_block(speedup=2.0, lane_width=32):
         },
         "speedup_trials_per_sec": speedup,
     }
-
-
-def _v3_doc(**overrides):
-    doc = _v2_doc()
-    doc["schema"] = ENGINE_SCHEMA_V3
-    doc["metadata"] = dict(doc["metadata"], lane_width=32)
-    doc["points"] = [
-        _engine_point(protocol="two_active", num_active=2,
-                      trial=_trial_block()),
-        _engine_point(),  # no trial twin: no block, legal in v3
-    ]
-    doc.update(overrides)
-    return doc
 
 
 def _sweep_block(speedup=2.0, points=32, **overrides):
@@ -1744,23 +1350,27 @@ def _sweep_block(speedup=2.0, points=32, **overrides):
     return block
 
 
-def _v4_doc(**overrides):
-    doc = _v3_doc()
-    doc["schema"] = ENGINE_SCHEMA_V4
-    doc["points"] = doc["points"] + [
-        _engine_point(protocol="reduce", population=4096, num_active=8,
-                      channels=1, trial=_trial_block(speedup=1.6)),
-        _engine_point(protocol="leaf_election", population=4096,
-                      num_active=12, channels=31,
-                      trial=_trial_block(speedup=1.4)),
-    ]
-    doc["sweep_throughput"] = _sweep_block()
+def _engine_doc(**overrides):
+    doc = {
+        "schema": ENGINE_SCHEMA_V4,
+        "metadata": {"cpu": "Test CPU", "compiler": "g++ 0.0",
+                     "dispatch": "avx2", "rng": "xoshiro", "lane_width": 32},
+        "kernels": [{"name": "coin_mask", "backend": "scalar",
+                     "lanes": 4096, "items_per_sec": 1e9},
+                    {"name": "compact_keep", "backend": "avx2",
+                     "lanes": 4096, "items_per_sec": 4e9}],
+        "points": [
+            _engine_point(protocol="two_active", num_active=2,
+                          trial=_trial_block()),
+            _engine_point(),  # no trial twin: no block
+        ],
+        "sweep_throughput": _sweep_block(),
+    }
     doc.update(overrides)
     return doc
 
 
 def self_test():
-    engine_doc = {"schema": ENGINE_SCHEMA, "points": [_engine_point()]}
     faults_doc = {
         "schema": FAULTS_SCHEMA,
         "points": [_faults_point(jam=0.0, success=1.0),
@@ -1784,14 +1394,17 @@ def self_test():
         "schema": FAULTS_SCHEMA,
         "points": [_faults_point(jam=0.0, success=1.0, success_rate=0.5)],
     }
-    v2_no_cpu = _v2_doc()
-    v2_no_cpu["metadata"] = dict(v2_no_cpu["metadata"], cpu="")
-    v2_bad_kernel = _v2_doc(kernels=[{"name": "coin_mask",
-                                      "backend": "scalar", "lanes": 0,
-                                      "items_per_sec": 1e9}])
-    v2_dup_kernel = _v2_doc()
-    v2_dup_kernel["kernels"] = [v2_dup_kernel["kernels"][0]] * 2
-    v2_fast = _v2_doc(points=[_engine_point(
+    engine_no_cpu = _engine_doc()
+    engine_no_cpu["metadata"] = dict(engine_no_cpu["metadata"], cpu="")
+    engine_no_lane_width = _engine_doc()
+    del engine_no_lane_width["metadata"]["lane_width"]
+    engine_bad_kernel = _engine_doc(kernels=[{"name": "coin_mask",
+                                              "backend": "scalar",
+                                              "lanes": 0,
+                                              "items_per_sec": 1e9}])
+    engine_dup_kernel = _engine_doc()
+    engine_dup_kernel["kernels"] = [engine_dup_kernel["kernels"][0]] * 2
+    engine_fast = _engine_doc(points=[_engine_point(
         engines={name: {"seconds": 1.0, "trials_per_sec": 200.0,
                         "rounds_per_sec": 1000.0, "node_rounds_per_sec": 1e6}
                  for name in ("coroutine", "batch")})])
@@ -1823,61 +1436,6 @@ def self_test():
     adv_bad_effective = {
         "schema": ADVERSARY_SCHEMA,
         "points": [_adversary_point(fraction=0.25, adv_jams_effective=9999)],
-    }
-    robust_doc = {
-        "schema": ROBUST_SCHEMA,
-        "points": [
-            _robust_point(fraction=0.0, bare_success=1.0),
-            _robust_point(fraction=0.25, bare_success=0.0, retries=120),
-            _robust_point(strategy="phase_tracking", fraction=0.25,
-                          bare_success=0.0, retries=90),
-            # The arms-race witness: lookahead beats static, adaptive holds.
-            _robust_point(strategy="lookahead", fraction=1.0,
-                          bare_success=0.0, static_rate=0.4, retries=400),
-            _robust_point(strategy="lookahead", fraction=1.0,
-                          bare_success=0.0, static_rate=0.4, retries=400,
-                          faults={"name": "erasure_flaky",
-                                  "erasure_rate": 0.1,
-                                  "flaky_cd_rate": 0.05, "fault_seed": 7}),
-        ],
-    }
-    robust_floor_breach = {
-        "schema": ROBUST_SCHEMA,
-        "points": [_robust_point(strategy="lookahead", fraction=1.0,
-                                 bare_success=0.0, static_rate=0.4,
-                                 adaptive_rate=0.9, retries=400)],
-    }
-    robust_no_headline = {
-        "schema": ROBUST_SCHEMA,
-        "points": [_robust_point(fraction=0.0, bare_success=1.0)],
-    }
-    # Both policies hold everywhere: nothing shows static actually beaten.
-    robust_no_witness = [
-        _robust_point(fraction=0.0, bare_success=1.0),
-        _robust_point(strategy="lookahead", fraction=1.0, bare_success=0.0,
-                      retries=400),
-    ]
-    robust_bad_breakdown = {
-        "schema": ROBUST_SCHEMA,
-        "points": [_robust_point(bare={"silent_failures": 7})],
-    }
-    robust_bad_confirmed = {
-        "schema": ROBUST_SCHEMA,
-        "points": [_robust_point(static={"confirmed": 150,
-                                         "confirmed_rate": 1.5})],
-    }
-    robust_bad_epochs = {
-        "schema": ROBUST_SCHEMA,
-        "points": [_robust_point(retries=5, adaptive={"epochs_used": 100})],
-    }
-    robust_bad_overhead = {
-        "schema": ROBUST_SCHEMA,
-        "points": [_robust_point(overhead_vs_static=3.0)],
-    }
-    robust_jam_books_cooked = {
-        "schema": ROBUST_SCHEMA,
-        "points": [_robust_point(fraction=1.0, bare_success=0.0, retries=400,
-                                 static={"adv_jams_echo": 999999})],
     }
     v3_missing = _robust_v3_doc()
     v3_missing["curves"] = v3_missing["curves"][:-1]
@@ -1941,40 +1499,31 @@ def self_test():
         for c in v3_no_witness["curves"]]
     checks = [
         _expect_ok("engine schema accepts a valid doc",
-                   lambda: validate_engine(engine_doc, "mem")),
-        _expect_ok("v2 schema accepts a valid doc",
-                   lambda: validate_engine(_v2_doc(), "mem",
-                                           ENGINE_SCHEMA_V2)),
-        _expect_fail("v2 schema rejects empty metadata.cpu",
-                     lambda: validate_engine(v2_no_cpu, "mem",
-                                             ENGINE_SCHEMA_V2),
+                   lambda: validate_engine(_engine_doc(), "mem")),
+        _expect_fail("engine schema rejects empty metadata.cpu",
+                     lambda: validate_engine(engine_no_cpu, "mem"),
                      "metadata.cpu"),
-        _expect_fail("v2 schema rejects a non-positive kernel lane count",
-                     lambda: validate_engine(v2_bad_kernel, "mem",
-                                             ENGINE_SCHEMA_V2),
-                     "lanes"),
-        _expect_fail("v2 schema rejects duplicate kernel entries",
-                     lambda: validate_engine(v2_dup_kernel, "mem",
-                                             ENGINE_SCHEMA_V2),
-                     "duplicate (kernel, backend)"),
-        _expect_fail("v2 schema rejects a missing kernels array",
-                     lambda: validate_engine(_v2_doc(kernels=[]), "mem",
-                                             ENGINE_SCHEMA_V2),
-                     "'kernels'"),
-        _expect_ok("v3 schema accepts a valid doc",
-                   lambda: validate_engine(_v3_doc(), "mem",
-                                           ENGINE_SCHEMA_V3)),
-        _expect_fail("v3 schema requires metadata.lane_width",
-                     lambda: validate_engine(
-                         _v3_doc(metadata={"cpu": "Test CPU",
-                                           "compiler": "g++ 0.0",
-                                           "dispatch": "avx2",
-                                           "rng": "xoshiro"}), "mem",
-                         ENGINE_SCHEMA_V3),
+        _expect_fail("engine schema requires metadata.lane_width",
+                     lambda: validate_engine(engine_no_lane_width, "mem"),
                      "lane_width"),
-        _expect_fail("v3 schema rejects a trial block without trial_batch",
+        _expect_fail("engine schema rejects a non-positive kernel lane count",
+                     lambda: validate_engine(engine_bad_kernel, "mem"),
+                     "lanes"),
+        _expect_fail("engine schema rejects duplicate kernel entries",
+                     lambda: validate_engine(engine_dup_kernel, "mem"),
+                     "duplicate (kernel, backend)"),
+        _expect_fail("engine schema rejects a missing kernels array",
+                     lambda: validate_engine(_engine_doc(kernels=[]), "mem"),
+                     "'kernels'"),
+        _expect_fail("engine schema rejects a missing engine",
                      lambda: validate_engine(
-                         _v3_doc(points=[_engine_point(
+                         _engine_doc(points=[_engine_point(engines={})]),
+                         "mem"),
+                     "coroutine missing"),
+        _expect_fail("engine schema rejects a trial block without "
+                     "trial_batch",
+                     lambda: validate_engine(
+                         _engine_doc(points=[_engine_point(
                              num_active=2,
                              trial={"lane_width": 32, "rng": "philox",
                                     "engines": {"batch": {
@@ -1983,17 +1532,32 @@ def self_test():
                                         "rounds_per_sec": 1000.0,
                                         "node_rounds_per_sec": 1e6}},
                                     "speedup_trials_per_sec": 1.0})]),
-                         "mem", ENGINE_SCHEMA_V3),
+                         "mem"),
                      "trial_batch missing"),
-        _expect_fail("v3 schema rejects a non-philox trial rng",
+        _expect_fail("engine schema rejects a non-philox trial rng",
                      lambda: validate_engine(
-                         _v3_doc(points=[_engine_point(
+                         _engine_doc(points=[_engine_point(
                              num_active=2,
                              trial=dict(_trial_block(), rng="xoshiro"))]),
-                         "mem", ENGINE_SCHEMA_V3),
+                         "mem"),
                      "trial.rng"),
+        _expect_fail("engine schema requires sweep_throughput",
+                     lambda: validate_engine(
+                         _engine_doc(sweep_throughput=None), "mem"),
+                     "sweep_throughput"),
+        _expect_fail("engine schema rejects an inconsistent points_per_sec",
+                     lambda: validate_engine(
+                         _engine_doc(sweep_throughput=_sweep_block(
+                             executor={"seconds": 0.5,
+                                       "points_per_sec": 999.0})), "mem"),
+                     "points/seconds"),
+        _expect_fail("engine schema rejects a cooked sweep speedup",
+                     lambda: validate_engine(
+                         _engine_doc(sweep_throughput=_sweep_block(
+                             speedup_points_per_sec=9.0)), "mem"),
+                     "rate ratio"),
         _expect_ok("trial speedup floor passes above the floor",
-                   lambda: check_trial_speedup(_v3_doc()["points"], 1.5)),
+                   lambda: check_trial_speedup(_engine_doc()["points"], 1.5)),
         _expect_fail("trial speedup floor gates a slow executor",
                      lambda: check_trial_speedup(
                          [_engine_point(num_active=2,
@@ -2009,55 +1573,20 @@ def self_test():
                                         trial=_trial_block(speedup=9.0))],
                          1.5),
                      "nothing to gate"),
-        _expect_ok("v4 schema accepts a valid doc",
-                   lambda: validate_engine(_v4_doc(), "mem",
-                                           ENGINE_SCHEMA_V4)),
-        _expect_fail("v4 schema requires sweep_throughput",
-                     lambda: validate_engine(
-                         _v4_doc(sweep_throughput=None), "mem",
-                         ENGINE_SCHEMA_V4),
-                     "sweep_throughput"),
-        _expect_fail("v4 schema rejects an inconsistent points_per_sec",
-                     lambda: validate_engine(
-                         _v4_doc(sweep_throughput=_sweep_block(
-                             executor={"seconds": 0.5,
-                                       "points_per_sec": 999.0})), "mem",
-                         ENGINE_SCHEMA_V4),
-                     "points/seconds"),
-        _expect_fail("v4 schema rejects a cooked sweep speedup",
-                     lambda: validate_engine(
-                         _v4_doc(sweep_throughput=_sweep_block(
-                             speedup_points_per_sec=9.0)), "mem",
-                         ENGINE_SCHEMA_V4),
-                     "rate ratio"),
-        _expect_ok("per-protocol floors pass when every protocol clears",
-                   lambda: check_trial_speedup_floors(
-                       _v4_doc()["points"],
-                       {"two_active": 1.5, "reduce": 1.3,
-                        "leaf_election": 1.1})),
-        _expect_fail("per-protocol floors gate a slow protocol",
-                     lambda: check_trial_speedup_floors(
-                         _v4_doc()["points"], {"leaf_election": 1.5}),
-                     "trial executor speedup"),
-        _expect_fail("per-protocol floors refuse to pass vacuously",
-                     lambda: check_trial_speedup_floors(
-                         _v4_doc()["points"], {"knockout_cd": 1.3}),
-                     "vacuously"),
-        _expect_ok("baseline check carries a v1 baseline into a v4 artifact",
-                   lambda: check_engine_baseline(_v4_doc()["points"],
-                                                 engine_doc["points"], 0.2)),
-        _expect_ok("baseline check crosses schema versions",
-                   lambda: check_engine_baseline(v2_fast["points"],
-                                                 engine_doc["points"], 0.2)),
-        _expect_fail("baseline check gates a v2 regression",
-                     lambda: check_engine_baseline(engine_doc["points"],
-                                                   v2_fast["points"], 0.2),
+        _expect_ok("baseline check passes a faster artifact",
+                   lambda: check_engine_baseline(engine_fast["points"],
+                                                 _engine_doc()["points"],
+                                                 0.2)),
+        _expect_fail("baseline check gates a regression",
+                     lambda: check_engine_baseline(_engine_doc()["points"],
+                                                   engine_fast["points"],
+                                                   0.2),
                      "regressed"),
-        _expect_fail("engine schema rejects a missing engine",
-                     lambda: validate_engine(
-                         {"schema": ENGINE_SCHEMA,
-                          "points": [_engine_point(engines={})]}, "mem"),
-                     "coroutine missing"),
+        _expect_fail("baseline check refuses a baseline with no common point",
+                     lambda: check_engine_baseline(
+                         _engine_doc()["points"],
+                         [_engine_point(protocol="reduce")], 0.2),
+                     "no grid points in common"),
         _expect_ok("faults schema accepts a valid doc",
                    lambda: validate_faults(faults_doc, "mem")),
         _expect_ok("monotone check accepts a falling curve",
@@ -2095,40 +1624,6 @@ def self_test():
         _expect_fail("adversary schema rejects effective > spent",
                      lambda: validate_adversary(adv_bad_effective, "mem"),
                      "adv_jams_effective"),
-        _expect_ok("robust v2 schema accepts a valid doc (incl. lookahead "
-                   "and fault compositions)",
-                   lambda: validate_robust(robust_doc, "mem")),
-        _expect_ok("delivery floor passes on the adaptive side",
-                   lambda: check_delivery_floor(robust_doc["points"], 0.99)),
-        _expect_fail("delivery floor rejects an under-floor adaptive point",
-                     lambda: check_delivery_floor(
-                         robust_floor_breach["points"], 0.99),
-                     "below the delivery floor"),
-        _expect_fail("delivery floor demands a bare-fails headline point",
-                     lambda: check_delivery_floor(
-                         robust_no_headline["points"], 0.99),
-                     "headline"),
-        _expect_ok("lookahead witness accepts static-loses/adaptive-holds",
-                   lambda: check_lookahead_witness(robust_doc["points"],
-                                                   0.99)),
-        _expect_fail("lookahead witness rejects an all-ties grid",
-                     lambda: check_lookahead_witness(robust_no_witness, 0.99),
-                     "witness the static wrapper being beaten"),
-        _expect_fail("robust schema rejects a broken bare breakdown",
-                     lambda: validate_robust(robust_bad_breakdown, "mem"),
-                     "!= unsolved"),
-        _expect_fail("robust schema rejects confirmed > solved",
-                     lambda: validate_robust(robust_bad_confirmed, "mem"),
-                     "> solved"),
-        _expect_fail("robust schema rejects broken epoch accounting",
-                     lambda: validate_robust(robust_bad_epochs, "mem"),
-                     "epochs_used"),
-        _expect_fail("robust schema rejects a cooked overhead ratio",
-                     lambda: validate_robust(robust_bad_overhead, "mem"),
-                     "overhead_vs_static"),
-        _expect_fail("robust schema rejects echo+backoff jams beyond spent",
-                     lambda: validate_robust(robust_jam_books_cooked, "mem"),
-                     "adv_jams_echo"),
         _expect_ok("robust v3 schema accepts a valid doc (hardened "
                    "jam-credit retries included)",
                    lambda: _check_robust_v3_doc(_robust_v3_doc())),
@@ -2287,23 +1782,19 @@ def main():
                     help="require batch/coroutine speedup >= this on every "
                          "point")
     ap.add_argument("--min-trial-speedup", type=float, default=None,
-                    help="require the v3+ trial-parallel executor speedup "
+                    help="require the trial-parallel executor speedup "
                          ">= this on every small-active point carrying a "
                          "trial block (num_active <= "
                          f"{TRIAL_SPEEDUP_MAX_ACTIVE})")
-    ap.add_argument("--trial-speedup-floors", default=None,
-                    help="per-protocol trial-executor floors, e.g. "
-                         "'two_active=1.5,reduce=1.3'; each named protocol "
-                         "must have at least one gated small-active point")
     ap.add_argument("--min-sweep-speedup", type=float, default=None,
-                    help="require the v4 sweep_throughput executor speedup "
+                    help="require the sweep_throughput executor speedup "
                          ">= this (persistent pool vs per-point spawn)")
     ap.add_argument("--monotone-tolerance", type=float, default=0.05,
                     help="allowed success_rate rise between adjacent jam "
                          "rates (default 0.05)")
     ap.add_argument("--delivery-floor", type=float, default=0.99,
-                    help="minimum wrapped confirmed_rate required on every "
-                         "robust point (default 0.99)")
+                    help="minimum pass_floor a robust artifact must "
+                         "declare (default 0.99)")
     ap.add_argument("--fairness-floor", type=float, default=0.9,
                     help="minimum pristine Jain fairness required of every "
                          "eligible traffic point (default 0.9)")
@@ -2328,13 +1819,6 @@ def main():
     if not 0.0 <= args.fairness_floor <= 1.0:
         print("--fairness-floor must be in [0, 1]", file=sys.stderr)
         sys.exit(2)
-    if args.trial_speedup_floors is not None:
-        try:
-            args.trial_speedup_floors = parse_trial_floors(
-                args.trial_speedup_floors)
-        except ValueError as e:
-            print(f"--trial-speedup-floors: {e}", file=sys.stderr)
-            sys.exit(2)
 
     try:
         run_checks(args)

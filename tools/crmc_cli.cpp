@@ -123,8 +123,10 @@ using namespace crmc;
       "              (disables StepProgram::FastRound; bit-exact, for\n"
       "              debugging the fused fast rounds without a rebuild)\n"
       "              --lanes W runs W trials per lockstep chunk on\n"
-      "              the trial-parallel executor (requires --rng philox;\n"
-      "              statistics are identical for every W)\n";
+      "              the trial-parallel executor; only two_active has a\n"
+      "              lockstep twin (it then requires --rng philox), other\n"
+      "              protocols run per trial (statistics are identical\n"
+      "              for every W)\n";
   std::exit(2);
 }
 
